@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -157,6 +159,30 @@ func TestCLISpGEMM(t *testing.T) {
 	// Unknown strategy must fail cleanly.
 	if err := exec.Command(spgemmBin, "-in", mtx, "-strategy", "hash").Run(); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+
+	// A 46,341×1 · 1×46,341 outer product has more nonzeros than int32
+	// offsets address: the product must be refused with status 1 and a
+	// diagnostic, before C's arrays are allocated.
+	const n = 46341
+	var col, row strings.Builder
+	fmt.Fprintf(&col, "%%%%MatrixMarket matrix coordinate real general\n%d 1 %d\n", n, n)
+	fmt.Fprintf(&row, "%%%%MatrixMarket matrix coordinate real general\n1 %d %d\n", n, n)
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&col, "%d 1 1\n", i)
+		fmt.Fprintf(&row, "1 %d 1\n", i)
+	}
+	colPath, rowPath := filepath.Join(dir, "col.mtx"), filepath.Join(dir, "row.mtx")
+	if err := os.WriteFile(colPath, []byte(col.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(rowPath, []byte(row.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	big, err := exec.Command(spgemmBin, "-in", colPath, "-b", rowPath).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(big), "2147488281 nonzeros") {
+		t.Fatalf("overflowing product: %v\n%s", err, big)
 	}
 
 	for _, kernel := range []string{"spgemm", "spgemm-cluster"} {

@@ -2,7 +2,8 @@ package kernels
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/check"
 	"repro/internal/community"
@@ -70,37 +71,102 @@ func spgemmShapeCheck(a, b *sparse.CSR) error {
 }
 
 // SpGEMM computes C = A·B with the chosen row strategy. A must have as
-// many columns as B has rows; the result is A.NumRows × B.NumCols.
+// many columns as B has rows; the result is A.NumRows × B.NumCols. When
+// nnz(C) exceeds what a CSR's int32 offsets address, it returns an error
+// before allocating C's column and value arrays.
 func SpGEMM(a, b *sparse.CSR, strategy SpGEMMStrategy) (*sparse.CSR, error) {
 	check.AssertCSR(a)
 	check.AssertCSR(b)
 	if err := spgemmShapeCheck(a, b); err != nil {
 		return nil, err
 	}
-	switch strategy {
-	case SpGEMMDenseAcc:
-		return spgemmDense(a, b), nil
-	case SpGEMMSortedMerge:
-		return spgemmMerge(a, b), nil
-	default:
+	if strategy != SpGEMMDenseAcc && strategy != SpGEMMSortedMerge {
 		return nil, fmt.Errorf("kernels: unknown SpGEMM strategy %d", strategy)
 	}
+	mark := make([]int32, b.NumCols)
+	out, _, err := spgemmOutput(a, b, mark)
+	if err != nil {
+		return nil, err
+	}
+	switch strategy {
+	case SpGEMMDenseAcc:
+		clear(mark)
+		spgemmDenseRows(a, b, out, make([]float32, b.NumCols), mark)
+	case SpGEMMSortedMerge:
+		var longest int32
+		for row := int32(0); row < out.NumRows; row++ {
+			longest = max(longest, out.RowLen(row))
+		}
+		spgemmMergeRows(a, b, out, make([]colVal, longest), make([]colVal, longest))
+	}
+	return check.CSR(out), nil
 }
 
-// spgemmDense is the dense-accumulator Gustavson loop.
-func spgemmDense(a, b *sparse.CSR) *sparse.CSR {
-	out := &sparse.CSR{
+// spgemmOutput runs the symbolic pass every mode shares and allocates
+// C = A·B at its exact size, so no mode grows C's arrays. It also returns
+// the flop count. When nnz(C) exceeds what int32 offsets address it
+// returns an error instead, before the column and value arrays exist.
+// mark is the pass's scratch: B.NumCols zeros.
+func spgemmOutput(a, b *sparse.CSR, mark []int32) (*sparse.CSR, int64, error) {
+	offsets := make([]int32, int(a.NumRows)+1)
+	flops, nnz := spgemmCountRows(a, b, offsets[1:], mark)
+	if nnz > math.MaxInt32 {
+		return nil, 0, fmt.Errorf("kernels: C = A·B has %d nonzeros, more than a CSR's int32 offsets address", nnz)
+	}
+	for row := 1; row < len(offsets); row++ {
+		offsets[row] += offsets[row-1]
+	}
+	return &sparse.CSR{
 		NumRows:    a.NumRows,
 		NumCols:    b.NumCols,
-		RowOffsets: make([]int32, int(a.NumRows)+1),
-	}
-	acc := make([]float32, b.NumCols)
-	// mark[j] == row+1 means column j is live in the current row's
-	// accumulator; the +1 keeps the zero value distinct from row 0.
-	mark := make([]int32, b.NumCols)
-	var touched []int32
+		RowOffsets: offsets,
+		ColIndices: make([]int32, nnz),
+		Values:     make([]float32, nnz),
+	}, flops, nil
+}
+
+// spgemmCountRows is the symbolic mark loop: it stores the nonzero count
+// of each row of C = A·B in rowNNZ (A.NumRows entries) and returns the
+// flop count and nnz(C). mark holds B.NumCols entries, zero on entry;
+// mark[j] == row+1 means column j is already counted in the row.
+//
+//repro:noalloc
+func spgemmCountRows(a, b *sparse.CSR, rowNNZ, mark []int32) (flops, nnz int64) {
 	for row := int32(0); row < a.NumRows; row++ {
-		touched = touched[:0]
+		cols, _ := a.Row(row)
+		var rowLen int32
+		if len(cols) == 1 {
+			// One B row: its columns are the row of C, already distinct.
+			rowLen = b.RowLen(cols[0])
+			flops += int64(rowLen)
+		} else {
+			for _, ak := range cols {
+				bc, _ := b.Row(ak)
+				flops += int64(len(bc))
+				for _, j := range bc {
+					if mark[j] != row+1 {
+						mark[j] = row + 1
+						rowLen++
+					}
+				}
+			}
+		}
+		rowNNZ[row] = rowLen
+		nnz += int64(rowLen)
+	}
+	return flops, nnz
+}
+
+// spgemmDenseRows is the dense-accumulator Gustavson loop over C's
+// preallocated rows: each row's touched columns are gathered in place in
+// C, sorted, and read back from acc. acc and mark hold B.NumCols entries,
+// mark zero on entry.
+//
+//repro:noalloc
+func spgemmDenseRows(a, b, c *sparse.CSR, acc []float32, mark []int32) {
+	for row := int32(0); row < a.NumRows; row++ {
+		touched, out := c.Row(row)
+		n := 0
 		cols, vals := a.Row(row)
 		for k, ak := range cols {
 			v := vals[k]
@@ -109,66 +175,64 @@ func spgemmDense(a, b *sparse.CSR) *sparse.CSR {
 				if mark[j] != row+1 {
 					mark[j] = row + 1
 					acc[j] = v * bv[t]
-					touched = append(touched, j)
+					touched[n] = j
+					n++
 				} else {
 					acc[j] += v * bv[t]
 				}
 			}
 		}
-		sort.Slice(touched, func(x, y int) bool { return touched[x] < touched[y] })
-		for _, j := range touched {
-			out.ColIndices = append(out.ColIndices, j)
-			out.Values = append(out.Values, acc[j])
+		slices.Sort(touched)
+		for t, j := range touched {
+			out[t] = acc[j]
 		}
-		out.RowOffsets[row+1] = check.SafeInt32(len(out.ColIndices))
 	}
-	return check.CSR(out)
 }
 
-// spgemmMerge is the sorted-merge Gustavson loop: the partial output row
-// stays sorted and each scaled B row is two-way merged into it.
-func spgemmMerge(a, b *sparse.CSR) *sparse.CSR {
-	out := &sparse.CSR{
-		NumRows:    a.NumRows,
-		NumCols:    b.NumCols,
-		RowOffsets: make([]int32, int(a.NumRows)+1),
-	}
-	type colVal struct {
-		c int32
-		v float32
-	}
-	var cur, next []colVal
+// colVal is one (column, value) entry of a partial output row.
+type colVal struct {
+	c int32
+	v float32
+}
+
+// spgemmMergeRows is the sorted-merge Gustavson loop over C's
+// preallocated rows: the partial row stays sorted and each scaled B row
+// is two-way merged into it. cur and next each hold the longest row of C,
+// which bounds every partial row, since a partial row's columns are a
+// subset of the final row's.
+//
+//repro:noalloc
+func spgemmMergeRows(a, b, c *sparse.CSR, cur, next []colVal) {
 	for row := int32(0); row < a.NumRows; row++ {
-		cur = cur[:0]
+		n := 0
 		cols, vals := a.Row(row)
 		for k, ak := range cols {
 			v := vals[k]
 			bc, bv := b.Row(ak)
-			next = next[:0]
-			i, j := 0, 0
-			for i < len(cur) || j < len(bc) {
+			m, i, j := 0, 0, 0
+			for i < n || j < len(bc) {
 				switch {
-				case j >= len(bc) || (i < len(cur) && cur[i].c < bc[j]):
-					next = append(next, cur[i])
+				case j >= len(bc) || (i < n && cur[i].c < bc[j]):
+					next[m] = cur[i]
 					i++
-				case i >= len(cur) || bc[j] < cur[i].c:
-					next = append(next, colVal{bc[j], v * bv[j]})
+				case i >= n || bc[j] < cur[i].c:
+					next[m] = colVal{bc[j], v * bv[j]}
 					j++
 				default:
-					next = append(next, colVal{cur[i].c, cur[i].v + v*bv[j]})
+					next[m] = colVal{cur[i].c, cur[i].v + v*bv[j]}
 					i++
 					j++
 				}
+				m++
 			}
-			cur, next = next, cur
+			cur, next, n = next, cur, m
 		}
-		for _, cv := range cur {
-			out.ColIndices = append(out.ColIndices, cv.c)
-			out.Values = append(out.Values, cv.v)
+		outCols, outVals := c.Row(row)
+		for t, cv := range cur[:n] {
+			outCols[t] = cv.c
+			outVals[t] = cv.v
 		}
-		out.RowOffsets[row+1] = check.SafeInt32(len(out.ColIndices))
 	}
-	return check.CSR(out)
 }
 
 // SpGEMMInfo is the structure-only (symbolic) analysis of C = A·B: the
@@ -207,23 +271,7 @@ func SpGEMMSymbolic(a, b *sparse.CSR) (SpGEMMInfo, error) {
 		return SpGEMMInfo{}, err
 	}
 	info := SpGEMMInfo{RowNNZ: make([]int32, a.NumRows)}
-	mark := make([]int32, b.NumCols)
-	for row := int32(0); row < a.NumRows; row++ {
-		cols, _ := a.Row(row)
-		var rowNNZ int32
-		for _, ak := range cols {
-			bc, _ := b.Row(ak)
-			info.Flops += int64(len(bc))
-			for _, j := range bc {
-				if mark[j] != row+1 {
-					mark[j] = row + 1
-					rowNNZ++
-				}
-			}
-		}
-		info.RowNNZ[row] = rowNNZ
-		info.NNZC += int64(rowNNZ)
-	}
+	info.Flops, info.NNZC = spgemmCountRows(a, b, info.RowNNZ, make([]int32, b.NumCols))
 	return info, nil
 }
 
@@ -273,11 +321,17 @@ func validTiles(tiles []community.Shard, n int32) error {
 // SpGEMMClusterWise computes C = A·B with cluster-wise execution (arXiv
 // 2507.21253): the Gustavson outer loop is tiled by the given contiguous
 // row blocks — community.Shards(A.NumRows) when tiles is nil — and each
-// tile runs a two-phase schedule. The symbolic phase sizes the tile's
-// output rows; the numeric phase visits the tile's A-nonzeros grouped by
+// tile runs a two-phase schedule. The symbolic phase lays out the tile's
+// sorted output rows and records, for every product, the slot of C it
+// lands in; the numeric phase visits the tile's A-nonzeros grouped by
 // column k (ascending), loading each distinct B row once per tile and
 // scattering it into every output row of the tile that needs it. All
 // accumulation for the tile stays resident until the tile spills to C.
+// Besides C, the call holds O(A.NumCols + B.NumCols) scratch plus, for
+// its largest multi-row tile, one entry per A-nonzero and one int32 slot
+// per product; a single-row tile scatters without slots. Like SpGEMM, it
+// returns an error before allocating C's column and value arrays when
+// nnz(C) overflows int32.
 //
 // After a community reordering, rows in a tile share column structure, so
 // the distinct-B-row loads per tile drop — the first place the reordering
@@ -297,80 +351,158 @@ func SpGEMMClusterWise(a, b *sparse.CSR, tiles []community.Shard) (*sparse.CSR, 
 	if err := validTiles(tiles, a.NumRows); err != nil {
 		return nil, stats, err
 	}
-	out := &sparse.CSR{
-		NumRows:    a.NumRows,
-		NumCols:    b.NumCols,
-		RowOffsets: make([]int32, int(a.NumRows)+1),
-	}
 	mark := make([]int32, b.NumCols)
-	var touched []int32
-	type aEntry struct {
-		k   int32 // column of A = row of B
-		row int32 // output row
-		v   float32
+	out, flops, err := spgemmOutput(a, b, mark)
+	if err != nil {
+		return nil, stats, err
 	}
-	var entries []aEntry
-	stats.Tiles = len(tiles)
-	for _, tile := range tiles {
-		// Symbolic phase: emit the tile's sorted output structure.
-		tileBase := int64(len(out.ColIndices))
-		for row := tile.Lo; row < tile.Hi; row++ {
-			touched = touched[:0]
-			cols, _ := a.Row(row)
-			for _, ak := range cols {
-				bc, _ := b.Row(ak)
-				for _, j := range bc {
-					if mark[j] != row+1 {
-						mark[j] = row + 1
-						touched = append(touched, j)
-					}
-				}
-			}
-			sort.Slice(touched, func(x, y int) bool { return touched[x] < touched[y] })
-			out.ColIndices = append(out.ColIndices, touched...)
-			out.Values = append(out.Values, make([]float32, len(touched))...)
-			out.RowOffsets[row+1] = check.SafeInt32(len(out.ColIndices))
+	clear(mark)
+	var maxNNZ int32
+	var maxFlops int
+	for _, t := range tiles {
+		if t.Hi-t.Lo < 2 {
+			continue
 		}
-		accEntries := int64(len(out.ColIndices)) - tileBase
-		stats.TotalAccEntries += accEntries
-		if accEntries > stats.MaxTileAccEntries {
-			stats.MaxTileAccEntries = accEntries
+		lo, hi := a.RowOffsets[t.Lo], a.RowOffsets[t.Hi]
+		f := 0
+		for _, k := range a.ColIndices[lo:hi] {
+			f += int(b.RowLen(k))
 		}
-		// Numeric phase, k-major: group the tile's A-nonzeros by B row.
-		entries = entries[:0]
-		for row := tile.Lo; row < tile.Hi; row++ {
-			cols, vals := a.Row(row)
-			for k, ak := range cols {
-				entries = append(entries, aEntry{k: ak, row: row, v: vals[k]})
-			}
-		}
-		// Ascending (k, row): each c_ij accumulates in ascending-k order
-		// (one contribution per k since A's rows are duplicate-free), and
-		// each distinct k's B row is loaded exactly once per tile.
-		sort.Slice(entries, func(x, y int) bool {
-			if entries[x].k != entries[y].k {
-				return entries[x].k < entries[y].k
-			}
-			return entries[x].row < entries[y].row
-		})
-		for e := 0; e < len(entries); {
-			k := entries[e].k
-			bc, bv := b.Row(k)
-			stats.DistinctBRowLoads++
-			for ; e < len(entries) && entries[e].k == k; e++ {
-				row, v := entries[e].row, entries[e].v
-				stats.Flops += int64(len(bc))
-				lo, hi := out.RowOffsets[row], out.RowOffsets[row+1]
-				rowCols := out.ColIndices[lo:hi]
-				for t, j := range bc {
-					// The symbolic phase guarantees j is present.
-					pos := int32(sort.Search(len(rowCols), func(x int) bool { return rowCols[x] >= j }))
-					out.Values[lo+pos] += v * bv[t]
-				}
-			}
-		}
+		maxNNZ = max(maxNNZ, hi-lo)
+		maxFlops = max(maxFlops, f)
+	}
+	s := &clusterScratch{
+		mark:    mark,
+		pos:     make([]int32, b.NumCols),
+		kTile:   make([]int32, b.NumRows),
+		kNext:   make([]int32, b.NumRows),
+		keys:    make([]int32, maxNNZ),
+		entries: make([]clusterEntry, maxNNZ),
+		slots:   make([]int32, maxFlops),
+	}
+	stats = SpGEMMClusterStats{Tiles: len(tiles), TotalAccEntries: int64(out.NNZ()), Flops: flops}
+	for _, t := range tiles {
+		stats.MaxTileAccEntries = max(stats.MaxTileAccEntries, int64(out.RowOffsets[t.Hi]-out.RowOffsets[t.Lo]))
+		stats.DistinctBRowLoads += spgemmClusterTile(a, b, out, t, s)
 	}
 	return check.CSR(out), stats, nil
+}
+
+// clusterScratch is SpGEMMClusterWise's working memory: allocated once per
+// call, sized for its largest tile, and reused by every row and tile.
+type clusterScratch struct {
+	mark    []int32 // per column of C: row+1 of the last row that touched it
+	pos     []int32 // per column of C: its slot of C in the current row
+	kTile   []int32 // per row of B: Hi of the last tile that bucketed it
+	kNext   []int32 // per row of B: its bucket's size, then next free index
+	keys    []int32 // the tile's distinct B rows
+	entries []clusterEntry
+	slots   []int32 // per product of the tile: the slot of C it lands in
+}
+
+// clusterEntry is one A-nonzero a_ik of a tile, placed in its k bucket:
+// its value and the index of its first scatter slot.
+type clusterEntry struct {
+	slot int
+	v    float32
+}
+
+// spgemmClusterRow writes row r of C's sorted column indices into the
+// row's preallocated span and maps each column to its slot in s.pos.
+//
+//repro:noalloc
+func spgemmClusterRow(a, b, c *sparse.CSR, r int32, s *clusterScratch) {
+	lo := c.RowOffsets[r]
+	cols, _ := c.Row(r)
+	n := 0
+	ks, _ := a.Row(r)
+	for _, k := range ks {
+		bc, _ := b.Row(k)
+		for _, j := range bc {
+			if s.mark[j] != r+1 {
+				s.mark[j] = r + 1
+				cols[n] = j
+				n++
+			}
+		}
+	}
+	slices.Sort(cols)
+	for x, j := range cols {
+		s.pos[j] = lo + int32(x)
+	}
+}
+
+// spgemmClusterTile computes tile t's rows of C into the spans
+// spgemmOutput laid out and returns how many distinct B rows it loaded.
+//
+//repro:noalloc
+func spgemmClusterTile(a, b, c *sparse.CSR, t community.Shard, s *clusterScratch) int64 {
+	if t.Hi-t.Lo == 1 {
+		// A's row ascends in k, so each B row scatters straight into C.
+		spgemmClusterRow(a, b, c, t.Lo, s)
+		ks, vs := a.Row(t.Lo)
+		for e, k := range ks {
+			bc, bv := b.Row(k)
+			for x, j := range bc {
+				c.Values[s.pos[j]] += vs[e] * bv[x]
+			}
+		}
+		return int64(len(ks))
+	}
+	// Counting sort of the tile's A-nonzeros by k: size each distinct k's
+	// bucket, then lay the buckets out in ascending k. t.Hi tells this
+	// tile's marks apart from those of every earlier non-empty tile.
+	nk := 0
+	for _, k := range a.ColIndices[a.RowOffsets[t.Lo]:a.RowOffsets[t.Hi]] {
+		if s.kTile[k] != t.Hi {
+			s.kTile[k] = t.Hi
+			s.kNext[k] = 0
+			s.keys[nk] = k
+			nk++
+		}
+		s.kNext[k]++
+	}
+	keys := s.keys[:nk]
+	slices.Sort(keys)
+	var start int32
+	for _, k := range keys {
+		size := s.kNext[k]
+		s.kNext[k] = start
+		start += size
+	}
+	// Symbolic phase: lay out each row, place its A-nonzeros in their
+	// buckets, and record the slot of every product. Rows ascend, so each
+	// bucket keeps row order.
+	slot := 0
+	for r := t.Lo; r < t.Hi; r++ {
+		spgemmClusterRow(a, b, c, r, s)
+		ks, vs := a.Row(r)
+		for e, k := range ks {
+			s.entries[s.kNext[k]] = clusterEntry{slot: slot, v: vs[e]}
+			s.kNext[k]++
+			bc, _ := b.Row(k)
+			for _, j := range bc {
+				s.slots[slot] = s.pos[j]
+				slot++
+			}
+		}
+	}
+	// Numeric phase, k-major: each distinct B row is loaded once, and each
+	// c_ij accumulates in ascending k (one contribution per k, since A's
+	// rows are duplicate-free).
+	var lo int32
+	for _, k := range keys {
+		_, bv := b.Row(k)
+		for _, en := range s.entries[lo:s.kNext[k]] {
+			slots := s.slots[en.slot:]
+			slots = slots[:len(bv)]
+			for x, w := range bv {
+				c.Values[slots[x]] += en.v * w
+			}
+		}
+		lo = s.kNext[k]
+	}
+	return int64(nk)
 }
 
 // SpGEMMTileFootprint returns the peak number of accumulator entries any

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/community"
+	"repro/internal/core"
 	"repro/internal/reorder"
 	"repro/internal/sparse"
 )
@@ -236,7 +237,10 @@ func TestSpGEMMStrategiesBitIdentical(t *testing.T) {
 // TestSpGEMMRelabelingInvariance is the metamorphic sweep: for every
 // registered reordering technique, (P·A·Pᵀ)·(P·A·Pᵀ) must equal
 // P·(A·A)·Pᵀ exactly. Integer values keep float accumulation exact across
-// the permuted summation orders, so the comparison is bitwise.
+// the permuted summation orders, so the comparison is bitwise. The
+// cluster-wise schedule runs on the default shards, on singleton tiles,
+// and on tiles aligned to A's RABBIT communities carried through P, the
+// tiling the repository benchmark times.
 func TestSpGEMMRelabelingInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xBEEF))
 	matrices := map[string]*sparse.CSR{
@@ -257,6 +261,7 @@ func TestSpGEMMRelabelingInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		comm := core.Rabbit(m).Communities.Of
 		for _, tech := range reorder.All() {
 			tech := tech
 			t.Run(mname+"/"+tech.Name(), func(t *testing.T) {
@@ -275,12 +280,20 @@ func TestSpGEMMRelabelingInvariance(t *testing.T) {
 						t.Fatalf("%s: (PAP')² != P(A²)P' under %s", strat, tech.Name())
 					}
 				}
-				got, _, err := SpGEMMClusterWise(pm, pm, nil)
-				if err != nil {
-					t.Fatal(err)
+				labels := make([]int32, len(comm))
+				for v, l := range comm {
+					labels[p[v]] = l
 				}
-				if !got.Equal(want) {
-					t.Fatalf("cluster-wise: (PAP')² != P(A²)P' under %s", tech.Name())
+				tilings := spgemmTilings(pm.NumRows)
+				tilings["community"] = community.TilesFromCommunities(labels, 8)
+				for _, tname := range []string{"shards", "singleton", "community"} {
+					got, _, err := SpGEMMClusterWise(pm, pm, tilings[tname])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("cluster-wise (%s): (PAP')² != P(A²)P' under %s", tname, tech.Name())
+					}
 				}
 			})
 		}
@@ -392,6 +405,66 @@ func TestSpGEMMErrors(t *testing.T) {
 		}
 		if s.String() != name {
 			t.Fatalf("round trip %q -> %v", name, s)
+		}
+	}
+}
+
+// TestSpGEMMOutputOverflow multiplies a 46,341×1 column by a 1×46,341
+// row: nnz(C) = 46,341² exceeds 2³¹−1, so every mode must return an error
+// before allocating C's arrays (2³¹ entries of each, ~16 GiB) instead of
+// panicking after growing them. The symbolic pass still reports the count.
+func TestSpGEMMOutputOverflow(t *testing.T) {
+	const n = 46341
+	col := sparse.NewCOO(n, 1, n)
+	row := sparse.NewCOO(1, n, n)
+	for i := int32(0); i < n; i++ {
+		col.Add(i, 0, 1)
+		row.Add(0, i, 1)
+	}
+	a, b := col.ToCSR(), row.ToCSR()
+	info, err := SpGEMMSymbolic(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.NNZC != n*n || info.Flops != n*n {
+		t.Fatalf("symbolic NNZC %d, Flops %d, want %d each", info.NNZC, info.Flops, int64(n*n))
+	}
+	for _, strat := range []SpGEMMStrategy{SpGEMMDenseAcc, SpGEMMSortedMerge} {
+		if c, err := SpGEMM(a, b, strat); err == nil {
+			t.Fatalf("%v: %d-nonzero product accepted", strat, c.NNZ())
+		}
+	}
+	if c, _, err := SpGEMMClusterWise(a, b, nil); err == nil {
+		t.Fatalf("cluster-wise: %d-nonzero product accepted", c.NNZ())
+	}
+}
+
+// TestSpGEMMAllocsIndependentOfRows pins the allocation-free row and tile
+// loops: for every mode, the allocations of one call on a matrix with 8×
+// the rows stay within a small constant of those at 1×, so no mode
+// allocates per output row or per tile.
+func TestSpGEMMAllocsIndependentOfRows(t *testing.T) {
+	const rows, slack = 256, 2
+	calls := func(m *sparse.CSR) map[string]func() {
+		labels := make([]int32, m.NumRows)
+		for i := range labels {
+			labels[i] = int32(i) / 12
+		}
+		comm := community.TilesFromCommunities(labels, 8)
+		singles := spgemmTilings(m.NumRows)["singleton"]
+		return map[string]func(){
+			"dense":             func() { _, _ = SpGEMM(m, m, SpGEMMDenseAcc) },
+			"merge":             func() { _, _ = SpGEMM(m, m, SpGEMMSortedMerge) },
+			"cluster-singleton": func() { _, _, _ = SpGEMMClusterWise(m, m, singles) },
+			"cluster-community": func() { _, _, _ = SpGEMMClusterWise(m, m, comm) },
+		}
+	}
+	small, large := calls(benchSpGEMMMatrix(rows, 4)), calls(benchSpGEMMMatrix(8*rows, 4))
+	for name, call := range small {
+		base := testing.AllocsPerRun(3, call)
+		scaled := testing.AllocsPerRun(3, large[name])
+		if scaled > base+slack {
+			t.Errorf("%s: %.0f allocations per call at %d rows, %.0f at %d rows", name, scaled, 8*rows, base, rows)
 		}
 	}
 }

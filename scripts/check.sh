@@ -43,8 +43,8 @@ go test -run 'TestDifferential|TestRunnerImplReference' -count=1 ./internal/expe
 echo "==> multi-device differential: K=1 bit-identical to the flat L2 path"
 go test -run 'TestMultiDevFlatIdentity|TestOwnedMatchesUnowned' -count=1 ./internal/experiments ./internal/trace
 
-echo "==> SpGEMM differential gate: all execution modes vs the dense int64 oracle"
-go test -run 'TestSpGEMMDifferentialOracle|TestSpGEMMRelabelingInvariance|TestSpGEMMStrategiesBitIdentical' -count=1 ./internal/kernels
+echo "==> SpGEMM differential gate: all execution modes vs the dense int64 oracle; nnz(C) overflow and per-row allocation regressions"
+go test -run 'TestSpGEMMDifferentialOracle|TestSpGEMMRelabelingInvariance|TestSpGEMMStrategiesBitIdentical|TestSpGEMMOutputOverflow|TestSpGEMMAllocsIndependentOfRows' -count=1 ./internal/kernels
 
 echo "==> parallel suite smoke: cmd/experiments -workers=4"
 go run ./cmd/experiments -corpus small -matrices soc-tight-2,er-deg16 -workers 4 -run fig2,obs,table3 >/dev/null
