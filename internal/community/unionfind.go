@@ -74,20 +74,22 @@ func (uf *UnionFind) SetSize(x int32) int32 { return uf.size[uf.Find(x)] }
 func (uf *UnionFind) Sets() int32 { return uf.sets }
 
 // Labels returns a dense community labelling: one label in [0, Sets()) per
-// element, with elements in the same set sharing a label.
+// element, with elements in the same set sharing a label. Labels are
+// numbered in order of first appearance.
 func (uf *UnionFind) Labels() []int32 {
 	labels := make([]int32, len(uf.parent))
+	rootLabel := make([]int32, len(uf.parent))
+	for i := range rootLabel {
+		rootLabel[i] = -1
+	}
 	next := int32(0)
-	rootLabel := make(map[int32]int32, uf.sets)
 	for i := range uf.parent {
 		r := uf.Find(int32(i))
-		l, ok := rootLabel[r]
-		if !ok {
-			l = next
-			rootLabel[r] = l
+		if rootLabel[r] < 0 {
+			rootLabel[r] = next
 			next++
 		}
-		labels[i] = l
+		labels[i] = rootLabel[r]
 	}
 	return labels
 }

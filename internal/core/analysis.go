@@ -86,7 +86,7 @@ func (rr *RabbitResult) SubtreeSizes() []int32 {
 	for i := range sizes {
 		sizes[i] = 1
 	}
-	// Children are recorded in merge order; accumulate bottom-up by
+	// Children merge into their parents in merge order; accumulate bottom-up by
 	// processing vertices in reverse topological order. Parents always
 	// have a dendrogram path to a root, so repeated passes are unneeded:
 	// children were merged strictly before their parents grew, and the

@@ -365,3 +365,17 @@ func TestDendrogramDepthSingletons(t *testing.T) {
 		t.Fatalf("singleton forest depth = %d, want 0", rr.DendrogramDepth())
 	}
 }
+
+// TestRabbitAllocsIndependentOfSize: the merge loop allocates its scratch
+// once per call, never per vertex or per merge, so an 8× larger graph
+// costs no more allocations beyond a few logarithmic scratch growths.
+func TestRabbitAllocsIndependentOfSize(t *testing.T) {
+	const slack = 4
+	small := gen.PlantedPartition{Nodes: 1000, Communities: 10, AvgDegree: 8, Mu: 0.2}.Generate(1)
+	large := gen.PlantedPartition{Nodes: 8000, Communities: 80, AvgDegree: 8, Mu: 0.2}.Generate(1)
+	base := testing.AllocsPerRun(3, func() { Rabbit(small) })
+	scaled := testing.AllocsPerRun(3, func() { Rabbit(large) })
+	if scaled > base+slack {
+		t.Errorf("%.0f allocations per call at %d rows, %.0f at %d rows", scaled, large.NumRows, base, small.NumRows)
+	}
+}

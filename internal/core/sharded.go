@@ -2,10 +2,9 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 
-	"repro/internal/check"
 	"repro/internal/community"
 	"repro/internal/sparse"
 )
@@ -29,15 +28,6 @@ func RabbitSharded(m *sparse.CSR, workers int) *RabbitResult {
 	return rr
 }
 
-// shardLocal is the phase-1 outcome of one shard: the intra-shard merges
-// in the order they happened (replayed into the global union-find in shard
-// order) and the cancellation error, if any. Each shard writes only its
-// own slot, so the fan-in is ordered regardless of goroutine scheduling.
-type shardLocal struct {
-	merges [][2]int32 // {target u, source v} in merge order
-	err    error
-}
-
 // RabbitShardedCtx is RabbitSharded with cooperative cancellation: both
 // the shard-local loops and the coarse merge check ctx every cancelStride
 // vertices. A nil error guarantees a result identical to RabbitSharded's.
@@ -50,287 +40,101 @@ func RabbitShardedCtx(ctx context.Context, m *sparse.CSR, workers int) (*RabbitR
 	}
 	sym := m.Symmetrize()
 	n := sym.NumRows
-
-	strength := make([]float64, n)
-	var m2 float64
-	for v := int32(0); v < n; v++ {
-		cols, _ := sym.Row(v)
-		for _, c := range cols {
-			if c != v {
-				strength[v]++
-			}
-		}
-		m2 += strength[v]
+	strength, m2 := strengths(sym)
+	d := newDendrogram(n)
+	uf := community.NewUnionFind(n)
+	if m2 == 0 {
+		return d.result(uf), nil
 	}
-
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	children := make([][]int32, n)
 
 	shards := community.Shards(n)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
+	workers = max(1, min(workers, len(shards)))
 
-	// Phase 1: shard-local aggregation. Shard i is handled by worker
-	// i%workers; all shared writes (parent, children, strength, locals[i])
-	// are at shard-owned indices, so no ordering between goroutines can
-	// become visible in the result.
-	locals := make([]shardLocal, len(shards))
-	if m2 > 0 {
-		var wg sync.WaitGroup
-		for wi := 0; wi < workers; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				for si := wi; si < len(shards); si += workers {
-					locals[si] = shardAggregate(ctx, sym, shards[si], strength, m2, parent, children)
-				}
-			}(wi)
-		}
-		wg.Wait()
+	// Phase 1: shard-local aggregation over intra-shard edges, with the
+	// full-graph strengths and m2 so gains are comparable across shards.
+	// Shard i is handled by worker i%workers; every shared write (strength
+	// and the dendrogram) is at a shard-owned index, so no ordering between
+	// goroutines can become visible in the result.
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for wi := 0; wi < workers; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			for si := wi; si < len(shards); si += workers {
+				sh := shards[si]
+				order := byStrength(identity(sh.Len()), strength[sh.Lo:sh.Hi])
+				errs[si] = mergeLoop(ctx, localAdjacency(sym, sh.Lo, sh.Hi), order,
+					community.NewUnionFind(sh.Len()), sh.Lo, 1, m2, strength, d)
+			}
+		}(wi)
 	}
-	for _, lr := range locals {
-		if lr.err != nil {
-			return nil, lr.err
-		}
-	}
-
-	// Replay the shard merges into one union-find, in shard order, so the
-	// global community structure is independent of goroutine scheduling.
-	uf := community.NewUnionFind(n)
-	for _, lr := range locals {
-		for _, pair := range lr.merges {
-			uf.UnionInto(pair[0], pair[1])
-		}
-	}
-
-	// Phase 2: sequential coarse merge over the shard-local roots, using
-	// the cross-root edges phase 1 ignored (cut edges plus intra-shard
-	// edges between different local communities).
-	if m2 > 0 {
-		if err := coarseMerge(ctx, sym, uf, strength, m2, parent, children); err != nil {
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
 	}
 
-	return &RabbitResult{
-		Perm:        check.Perm(sparse.FromNewOrder(dendrogramOrder(n, parent, children))),
-		Communities: community.FromLabels(uf.Labels()),
-		Parent:      parent,
-		Children:    children,
-	}, nil
-}
-
-// shardAggregate runs the RABBIT merge loop restricted to one shard: only
-// edges with both endpoints inside [sh.Lo, sh.Hi) participate, vertices
-// are visited by increasing initial strength (ties by ID), and merges use
-// the full-graph m2 so gains are comparable across shards. It mutates
-// parent/children/strength only at in-shard indices.
-func shardAggregate(ctx context.Context, sym *sparse.CSR, sh community.Shard, strength []float64, m2 float64, parent []int32, children [][]int32) shardLocal {
-	size := sh.Len()
-	if size == 0 {
-		return shardLocal{}
-	}
-	// Local adjacency over shard-relative indices, intra-shard edges only.
-	adj := make([][]edge, size)
-	for v := sh.Lo; v < sh.Hi; v++ {
-		cols, _ := sym.Row(v)
-		a := make([]edge, 0, len(cols))
-		for _, c := range cols {
-			if c != v && c >= sh.Lo && c < sh.Hi {
-				a = append(a, edge{to: c - sh.Lo, w: 1})
-			}
+	// Replay the shard merges into one union-find. Every set's root ends
+	// up its dendrogram root whatever the replay order, so the global
+	// community structure is independent of goroutine scheduling.
+	for v, p := range d.parent {
+		if p != -1 {
+			uf.UnionInto(p, int32(v))
 		}
-		adj[v-sh.Lo] = a
 	}
 
-	uf := community.NewUnionFind(size)
-	order := make([]int32, size)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return strength[sh.Lo+order[a]] < strength[sh.Lo+order[b]]
-	})
-
-	weightTo := make([]float64, size)
-	stamp := make([]int64, size)
-	var epoch int64
-	touched := make([]int32, 0, 64)
-	var out shardLocal
-
-	for i, v := range order {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				out.err = err
-				return out
-			}
-		}
-		epoch++
-		touched = touched[:0]
-		for _, e := range adj[v] {
-			r := uf.Find(e.to)
-			if r == v {
-				continue
-			}
-			if stamp[r] != epoch {
-				stamp[r] = epoch
-				weightTo[r] = 0
-				touched = append(touched, r)
-			}
-			weightTo[r] += e.w
-		}
-		adj[v] = adj[v][:0]
-		for _, r := range touched {
-			adj[v] = append(adj[v], edge{to: r, w: weightTo[r]})
-		}
-
-		var best int32 = -1
-		bestGain := 0.0
-		for _, r := range touched {
-			gain := 2 * (weightTo[r]/m2 - (strength[sh.Lo+v]/m2)*(strength[sh.Lo+r]/m2))
-			d := gain - bestGain
-			if d > gainEps || (d > -gainEps && gain > gainEps && best >= 0 && r < best) {
-				bestGain = gain
-				best = r
-			}
-		}
-		if best < 0 || bestGain <= 0 {
-			continue
-		}
-		u := best
-		uf.UnionInto(u, v)
-		strength[sh.Lo+u] += strength[sh.Lo+v]
-		parent[sh.Lo+v] = sh.Lo + u
-		children[sh.Lo+u] = append(children[sh.Lo+u], sh.Lo+v)
-		out.merges = append(out.merges, [2]int32{sh.Lo + u, sh.Lo + v})
-		for _, e := range adj[v] {
-			if e.to != u {
-				adj[u] = append(adj[u], e)
-			}
-		}
-		adj[v] = nil
-	}
-	return out
-}
-
-// coarseMerge is phase 2: one more RABBIT merge pass over the current
-// community roots, fed by every edge whose endpoints resolved to different
-// roots. Roots are visited by increasing aggregated strength (ties by ID)
-// and merges extend the same vertex-level dendrogram, so the final DFS
-// needs no special casing for the two levels.
-func coarseMerge(ctx context.Context, sym *sparse.CSR, uf *community.UnionFind, strength []float64, m2 float64, parent []int32, children [][]int32) error {
-	n := sym.NumRows
-	adj := make([][]edge, n)
+	// Phase 2: one more merge pass over the shard-local roots, visited by
+	// increasing aggregated strength (ties by ID), using the cross-root
+	// edges phase 1 ignored (cut edges plus intra-shard edges between
+	// different local communities). Its merges extend the same vertex-level
+	// dendrogram, so the final DFS needs no special casing for the levels.
 	var roots []int32
-	for v := int32(0); v < n; v++ {
-		if parent[v] == -1 {
-			roots = append(roots, v)
+	for v, p := range d.parent {
+		if p == -1 {
+			roots = append(roots, int32(v))
 		}
 	}
-	for v := int32(0); v < n; v++ {
-		rv := uf.Find(v)
-		cols, _ := sym.Row(v)
-		for _, c := range cols {
-			if c == v {
-				continue
-			}
-			if rc := uf.Find(c); rc != rv {
-				adj[rv] = append(adj[rv], edge{to: rc, w: 1})
-			}
-		}
+	if err := mergeLoop(ctx, rootAdjacency(sym, uf), byStrength(roots, strength), uf, 0, 1, m2, strength, d); err != nil {
+		return nil, err
 	}
-
-	order := make([]int32, len(roots))
-	copy(order, roots)
-	sort.SliceStable(order, func(a, b int) bool {
-		return strength[order[a]] < strength[order[b]]
-	})
-
-	weightTo := make([]float64, n)
-	stamp := make([]int64, n)
-	var epoch int64
-	touched := make([]int32, 0, 64)
-
-	for i, v := range order {
-		if i%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		epoch++
-		touched = touched[:0]
-		for _, e := range adj[v] {
-			r := uf.Find(e.to)
-			if r == v {
-				continue
-			}
-			if stamp[r] != epoch {
-				stamp[r] = epoch
-				weightTo[r] = 0
-				touched = append(touched, r)
-			}
-			weightTo[r] += e.w
-		}
-		adj[v] = adj[v][:0]
-		for _, r := range touched {
-			adj[v] = append(adj[v], edge{to: r, w: weightTo[r]})
-		}
-
-		var best int32 = -1
-		bestGain := 0.0
-		for _, r := range touched {
-			gain := 2 * (weightTo[r]/m2 - (strength[v]/m2)*(strength[r]/m2))
-			d := gain - bestGain
-			if d > gainEps || (d > -gainEps && gain > gainEps && best >= 0 && r < best) {
-				bestGain = gain
-				best = r
-			}
-		}
-		if best < 0 || bestGain <= 0 {
-			continue
-		}
-		u := best
-		uf.UnionInto(u, v)
-		strength[u] += strength[v]
-		parent[v] = u
-		children[u] = append(children[u], v)
-		for _, e := range adj[v] {
-			if e.to != u {
-				adj[u] = append(adj[u], e)
-			}
-		}
-		adj[v] = nil
-	}
-	return nil
+	return d.result(uf), nil
 }
 
-// dendrogramOrder lists vertices in new-ID order by depth-first traversal
-// of the merge forest: roots in ascending ID order, children in merge
-// order. Shared by the sequential and sharded RABBIT paths.
-func dendrogramOrder(n int32, parent []int32, children [][]int32) []int32 {
-	newOrder := make([]int32, 0, n)
-	stack := make([]int32, 0, 64)
+// rootAdjacency builds the coarse merge's starting graph: every root gets
+// a unit edge per nonzero (v, c) of sym whose endpoints lie in different
+// communities with v in the root's, listed by v and then by column.
+func rootAdjacency(sym *sparse.CSR, uf *community.UnionFind) graph {
+	n := sym.NumRows
+	root := make([]int32, n)
+	for v := range root {
+		root[v] = uf.Find(int32(v))
+	}
+	// start[r+1] counts root r's edges; the prefix sum turns it into the
+	// start of r's region.
+	start := make([]int32, n+1)
 	for v := int32(0); v < n; v++ {
-		if parent[v] != -1 {
-			continue
-		}
-		stack = append(stack[:0], v)
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			newOrder = append(newOrder, x)
-			kids := children[x]
-			for i := len(kids) - 1; i >= 0; i-- {
-				stack = append(stack, kids[i])
+		cols, _ := sym.Row(v)
+		for _, c := range cols {
+			if c != v && root[c] != root[v] {
+				start[root[v]+1]++
 			}
 		}
 	}
-	return newOrder
+	for r := int32(1); r <= n; r++ {
+		start[r] += start[r-1]
+	}
+	edges := make([]edge, start[n])
+	fill := slices.Clone(start[:n])
+	for v := int32(0); v < n; v++ {
+		cols, _ := sym.Row(v)
+		for _, c := range cols {
+			if c != v && root[c] != root[v] {
+				edges[fill[root[v]]] = edge{to: root[c], w: 1}
+				fill[root[v]]++
+			}
+		}
+	}
+	return graph{edges: edges, off: start}
 }

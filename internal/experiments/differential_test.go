@@ -32,29 +32,34 @@ func TestDifferentialFastVsReference(t *testing.T) {
 	}
 	r := NewRunner(SmallConfig())
 	l2 := r.Config().Device.L2
+	// Matrices are independent, so they run as parallel subtests (at most
+	// GOMAXPROCS at a time) over the Runner's concurrency-safe caches.
 	for _, e := range r.Entries() {
-		md, err := r.Matrix(e.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range diffKernels {
-			tr := r.traceFor(md, reorder.Original{}, k)
-			hint := k.TraceAccessUpperBound(md.N, md.NNZ, l2.LineBytes)
-
-			lruRef := cachesim.SimulateLRUWith(l2, cachesim.ImplReference, tr)
-			lruFast := cachesim.SimulateLRUWith(l2, cachesim.ImplFast, tr)
-			if lruRef != lruFast {
-				t.Errorf("%s %s LRU diverged:\nreference %+v\nfast      %+v",
-					e.Name, k.String(), lruRef, lruFast)
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			md, err := r.Matrix(e.Name)
+			if err != nil {
+				t.Fatal(err)
 			}
+			for _, k := range diffKernels {
+				tr := r.traceFor(md, reorder.Original{}, k)
+				hint := k.TraceAccessUpperBound(md.N, md.NNZ, l2.LineBytes)
 
-			optRef := cachesim.SimulateBeladyFunc(l2, cachesim.ImplReference, tr, hint)
-			optFast := cachesim.SimulateBeladyFunc(l2, cachesim.ImplFast, tr, hint)
-			if optRef != optFast {
-				t.Errorf("%s %s Belady diverged:\nreference %+v\nfast      %+v",
-					e.Name, k.String(), optRef, optFast)
+				lruRef := cachesim.SimulateLRUWith(l2, cachesim.ImplReference, tr)
+				lruFast := cachesim.SimulateLRUWith(l2, cachesim.ImplFast, tr)
+				if lruRef != lruFast {
+					t.Errorf("%s %s LRU diverged:\nreference %+v\nfast      %+v",
+						e.Name, k.String(), lruRef, lruFast)
+				}
+
+				optRef := cachesim.SimulateBeladyFunc(l2, cachesim.ImplReference, tr, hint)
+				optFast := cachesim.SimulateBeladyFunc(l2, cachesim.ImplFast, tr, hint)
+				if optRef != optFast {
+					t.Errorf("%s %s Belady diverged:\nreference %+v\nfast      %+v",
+						e.Name, k.String(), optRef, optFast)
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -277,14 +277,9 @@ func (r *Runner) Perm(md *MatrixData, tech reorder.Technique) sparse.Permutation
 			return
 		}
 		var p sparse.Permutation
-		switch t := tech.(type) {
-		case reorder.Rabbit:
-			p = md.Rabbit().Perm
-		case reorder.RabbitPP:
-			p = core.ModifyRabbit(md.M, md.Rabbit(), core.PlusPlusOptions()).Perm
-		case reorder.RabbitVariant:
-			p = core.ModifyRabbit(md.M, md.Rabbit(), t.Opts).Perm
-		default:
+		if derive, ok := reorder.FromRabbit(tech); ok {
+			p = derive(md.M, md.Rabbit())
+		} else {
 			p = tech.Order(md.M)
 		}
 		check.AssertPermutation(p)

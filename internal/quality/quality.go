@@ -10,7 +10,7 @@ package quality
 import (
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -45,15 +45,14 @@ func TopFracMass(deg []int32, total int64, frac float64) float64 {
 	if total == 0 || len(deg) == 0 {
 		return 0
 	}
-	sorted := make([]int32, len(deg))
-	copy(sorted, deg)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] > sorted[b] })
+	sorted := slices.Clone(deg)
+	slices.Sort(sorted)
 	k := int(float64(len(sorted)) * frac)
 	if k < 1 {
 		k = 1
 	}
 	var top int64
-	for _, d := range sorted[:k] {
+	for _, d := range sorted[len(sorted)-k:] {
 		top += int64(d)
 	}
 	return float64(top) / float64(total)

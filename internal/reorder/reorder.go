@@ -136,6 +136,30 @@ func (v RabbitVariant) Order(m *sparse.CSR) sparse.Permutation {
 	return check.Perm(core.Reorder(m, v.Opts).Perm)
 }
 
+// FromRabbit reports whether t's ordering is a function of plain RABBIT's
+// detection — RABBIT, RABBIT++ and the Table II variants — and if so
+// returns how to derive it from a detection rr of m. Callers that already
+// hold a detection (the experiment runner's per-matrix cache, reorderd's
+// quality step) use it to detect once where they would otherwise detect
+// twice. RABBIT-SHARD and the combinators return false: their detection is
+// not plain RABBIT's.
+func FromRabbit(t any) (derive func(m *sparse.CSR, rr *core.RabbitResult) sparse.Permutation, ok bool) {
+	var opts core.Options
+	switch t := t.(type) {
+	case Rabbit:
+		return func(_ *sparse.CSR, rr *core.RabbitResult) sparse.Permutation { return check.Perm(rr.Perm) }, true
+	case RabbitPP:
+		opts = core.PlusPlusOptions()
+	case RabbitVariant:
+		opts = t.Opts
+	default:
+		return nil, false
+	}
+	return func(m *sparse.CSR, rr *core.RabbitResult) sparse.Permutation {
+		return check.Perm(core.ModifyRabbit(m, rr, opts).Perm)
+	}, true
+}
+
 // ByName resolves a technique from its display name. Reordering seeds and
 // parameters use their experiment defaults.
 func ByName(name string) (Technique, error) {

@@ -141,7 +141,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		// The owner (not the entry peer) runs the advisor so the
 		// digest-keyed feature cache accumulates where the matrix lives.
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxJobTime)
-		rec, err := s.advise(ctx, m)
+		rec, err := s.advise(ctx, m, digest)
 		cancel()
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, err)
@@ -207,7 +207,7 @@ func (s *Server) runStoredJob(j *storedJob, tech reorder.OrdererCtx, m *sparse.C
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxJobTime)
 	defer cancel()
 	s.store.setRunning(j)
-	res, err := s.runJob(ctx, tech, m, j.quality)
+	res, err := s.runJob(ctx, tech, m, j.digest, j.quality)
 	if err == nil {
 		s.cache.put(j.key, res)
 	}

@@ -391,9 +391,12 @@ func (s *Server) handleReorder(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// One SHA-256 pass per request: the digest keys the result cache, the
+	// feature cache and the quality cache alike.
+	digest := m.Digest()
 	var adv *advisorInfo
 	if auto {
-		rec, err := s.advise(ctx, m)
+		rec, err := s.advise(ctx, m, digest)
 		if err != nil {
 			status := http.StatusInternalServerError
 			switch {
@@ -421,11 +424,11 @@ func (s *Server) handleReorder(w http.ResponseWriter, r *http.Request) {
 		wantQuality = false
 	}
 
-	key := m.Digest() + "|" + techName
+	key := digest + "|" + techName
 	if !wantQuality {
 		key += "|noq"
 	}
-	res, cached, err := s.compute(ctx, key, tech, m, wantQuality)
+	res, cached, err := s.compute(ctx, key, digest, tech, m, wantQuality)
 	if err != nil {
 		status := http.StatusInternalServerError
 		switch {
@@ -462,8 +465,7 @@ func (s *Server) handleReorder(w http.ResponseWriter, r *http.Request) {
 // advise returns the advisor's recommendation for the matrix, serving the
 // feature vector from the digest-keyed cache when the matrix has been
 // profiled before (the extraction, not the model, is the expensive part).
-func (s *Server) advise(ctx context.Context, m *sparse.CSR) (advisor.Recommendation, error) {
-	digest := m.Digest()
+func (s *Server) advise(ctx context.Context, m *sparse.CSR, digest string) (advisor.Recommendation, error) {
 	if v, ok := s.features.get(digest); ok {
 		return advisor.Recommend(advisor.DefaultModel(), v.(advisor.Features)), nil
 	}
@@ -544,7 +546,7 @@ func uploadIsBinary(contentType string) bool {
 // compute serves the keyed result: LRU hit, singleflight piggyback on an
 // identical in-flight computation, or a fresh job on the worker pool. The
 // returned bool reports whether the result came from the cache.
-func (s *Server) compute(ctx context.Context, key string, tech reorder.OrdererCtx, m *sparse.CSR, wantQuality bool) (*reorderResult, bool, error) {
+func (s *Server) compute(ctx context.Context, key, digest string, tech reorder.OrdererCtx, m *sparse.CSR, wantQuality bool) (*reorderResult, bool, error) {
 	if v, ok := s.cache.get(key); ok {
 		s.metrics.cacheHit()
 		return v.(*reorderResult), true, nil
@@ -569,7 +571,7 @@ func (s *Server) compute(ctx context.Context, key string, tech reorder.OrdererCt
 
 	err := s.pool.trySubmit(func() {
 		defer jobCancel()
-		res, jobErr := s.runJob(jobCtx, tech, m, wantQuality)
+		res, jobErr := s.runJob(jobCtx, tech, m, digest, wantQuality)
 		if jobErr == nil {
 			s.cache.put(key, res)
 		}
@@ -614,14 +616,27 @@ func (s *Server) await(ctx context.Context, f *flight) (*reorderResult, bool, er
 // runJob executes one reordering on a pool worker: the technique's
 // cancellable ordering, then (unless disabled) the community-quality
 // metrics, which are cached per matrix digest so a technique sweep over
-// one matrix detects communities once.
-func (s *Server) runJob(ctx context.Context, tech reorder.OrdererCtx, m *sparse.CSR, wantQuality bool) (*reorderResult, error) {
+// one matrix detects communities once. A RABBIT-family job detects once
+// and derives both its ordering and, if not cached, its quality from that
+// detection.
+func (s *Server) runJob(ctx context.Context, tech reorder.OrdererCtx, m *sparse.CSR, digest string, wantQuality bool) (*reorderResult, error) {
 	start := time.Now()
 	var p sparse.Permutation
+	var rr *core.RabbitResult
 	var err error
-	if po, ok := tech.(reorder.ParallelOrderer); ok {
+	derive, shared := reorder.FromRabbit(tech)
+	po, parallel := tech.(reorder.ParallelOrderer)
+	switch {
+	case shared:
+		if rr, err = core.RabbitCtx(ctx, m); err == nil {
+			err = ctx.Err()
+		}
+		if err == nil {
+			p = derive(m, rr)
+		}
+	case parallel:
 		p, err = po.OrderParallelCtx(ctx, m, reorder.Options{Workers: s.cfg.OrderWorkers})
-	} else {
+	default:
 		p, err = tech.OrderCtx(ctx, m)
 	}
 	s.metrics.observeJob(tech.Name(), time.Since(start), err != nil)
@@ -633,28 +648,29 @@ func (s *Server) runJob(ctx context.Context, tech reorder.OrdererCtx, m *sparse.
 		Rows:      m.NumRows,
 		Cols:      m.NumCols,
 		NNZ:       m.NNZ(),
-		Digest:    m.Digest(),
+		Digest:    digest,
 		ComputeMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if wantQuality {
-		qs, err := s.qualityFor(ctx, res.Digest, m)
-		if err != nil {
+		if res.Quality, err = s.qualityFor(ctx, digest, m, rr); err != nil {
 			return nil, err
 		}
-		res.Quality = qs
 	}
 	return res, nil
 }
 
 // qualityFor returns the digest's community-quality stats, computing and
-// caching them on first use.
-func (s *Server) qualityFor(ctx context.Context, digest string, m *sparse.CSR) (*qualityStats, error) {
+// caching them on first use from rr, the job's own RABBIT detection, or
+// from a fresh detection when rr is nil.
+func (s *Server) qualityFor(ctx context.Context, digest string, m *sparse.CSR, rr *core.RabbitResult) (*qualityStats, error) {
 	if v, ok := s.quality.get(digest); ok {
 		return v.(*qualityStats), nil
 	}
-	rr, err := core.RabbitCtx(ctx, m)
-	if err != nil {
-		return nil, err
+	if rr == nil {
+		var err error
+		if rr, err = core.RabbitCtx(ctx, m); err != nil {
+			return nil, err
+		}
 	}
 	cs := core.Analyze(m, rr.Communities)
 	qs := &qualityStats{

@@ -10,12 +10,16 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/advisor"
 	"repro/internal/check"
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/reorder"
 	"repro/internal/sparse"
 )
@@ -215,17 +219,93 @@ func TestDeterminismAcrossWorkersAndCacheState(t *testing.T) {
 	}
 }
 
+// TestQualityBlockMatchesInProcess: a /reorder miss with quality on
+// returns the in-process permutation of the technique it ran, and a
+// quality block equal to core.Analyze over plain RABBIT's communities,
+// whether the job shared its own detection with the quality step (the
+// RABBIT family) or the quality step detected on its own (BOBA, and
+// whatever technique=auto picks). The sweep runs once on a fresh server
+// per technique (quality cache cold) and once on one server for all, where
+// every job after the first finds the quality block cached; auto is left
+// out there, as its pick's result would already be cached.
+func TestQualityBlockMatchesInProcess(t *testing.T) {
+	checkGoroutines(t)
+	m := gen.PlantedPartition{Nodes: 600, Communities: 8, AvgDegree: 8, Mu: 0.15}.Generate(7)
+	body := mmBody(t, m)
+	cs := core.Analyze(m, core.Rabbit(m).Communities)
+	want := qualityStats{Insularity: cs.Insularity, Modularity: cs.Modularity, DegreeSkew: cs.Skew, Communities: cs.Communities}
+	rabbitHubGroup := reorder.RabbitVariant{Opts: core.Options{Hub: core.HubGroup}}
+	resolver := func(name string) (reorder.OrdererCtx, error) {
+		if name == rabbitHubGroup.Name() {
+			return rabbitHubGroup, nil
+		}
+		return reorder.ByNameCtx(name)
+	}
+
+	_, sharedTS := newTestServer(t, Config{Workers: 1, Resolver: resolver})
+	for _, sweep := range []string{"cold", "cached"} {
+		for _, techName := range []string{"RABBIT", "RABBIT++", rabbitHubGroup.Name(), "BOBA", "auto"} {
+			if sweep == "cached" && techName == "auto" {
+				continue
+			}
+			t.Run(sweep+"/"+techName, func(t *testing.T) {
+				ts := sharedTS
+				if sweep == "cold" {
+					_, ts = newTestServer(t, Config{Workers: 1, Resolver: resolver})
+				}
+				qualityOn(t, ts, m, body, techName, resolver, want)
+			})
+		}
+	}
+}
+
+// qualityOn sends one quality-on /reorder miss for techName and checks
+// its permutation against the in-process one and its quality block
+// against want.
+func qualityOn(t *testing.T, ts *httptest.Server, m *sparse.CSR, body []byte, techName string, resolver func(string) (reorder.OrdererCtx, error), want qualityStats) {
+	t.Helper()
+	status, out, raw := doReorder(t, ts.Client(), reorderURL(ts.URL, map[string]string{"technique": techName}), body)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, raw)
+	}
+	if out.Cached {
+		t.Fatal("miss reported cached=true")
+	}
+	ran := techName
+	if techName == "auto" {
+		ran = advisor.Advise(m).Best()
+		if out.Technique != ran {
+			t.Fatalf("auto ran %s, the advisor picks %s", out.Technique, ran)
+		}
+	}
+	tech, err := resolver(ran)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := tech.OrderCtx(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(out.Permutation, p) {
+		t.Fatalf("served %s permutation differs from the in-process one", ran)
+	}
+	if out.Quality == nil || *out.Quality != want {
+		t.Fatalf("quality block %+v, want %+v", out.Quality, want)
+	}
+}
+
 // TestDeadlineCancelsMidRabbit: a 10ms-deadline request against a RABBIT
 // job on a large corpus matrix must come back with a deadline error fast —
 // the job's merge loop observes cancellation — rather than blocking until
-// the reordering finishes.
+// the reordering finishes. The quality-on RABBIT++ case is the one whose
+// single detection would feed both the ordering and the quality block.
 func TestDeadlineCancelsMidRabbit(t *testing.T) {
 	checkGoroutines(t)
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	// Warm the generated matrix (and nothing else: ORIGINAL is trivial and
-	// quality=off skips community detection) so the timed request below
-	// measures reordering, not corpus generation.
+	// quality=off skips community detection) so the timed requests below
+	// measure reordering, not corpus generation.
 	status, _, raw := doReorder(t, ts.Client(), reorderURL(ts.URL, map[string]string{
 		"matrix": "soc-tight-1", "technique": "ORIGINAL", "quality": "off",
 	}), nil)
@@ -233,19 +313,24 @@ func TestDeadlineCancelsMidRabbit(t *testing.T) {
 		t.Fatalf("warm request: status %d: %s", status, raw)
 	}
 
-	start := time.Now()
-	status, _, raw = doReorder(t, ts.Client(), reorderURL(ts.URL, map[string]string{
-		"matrix": "soc-tight-1", "technique": "RABBIT", "quality": "off", "timeout_ms": "10",
-	}), nil)
-	elapsed := time.Since(start)
-	if status != http.StatusGatewayTimeout {
-		t.Fatalf("status %d (elapsed %v): %s", status, elapsed, raw)
-	}
-	if !strings.Contains(raw, context.DeadlineExceeded.Error()) {
-		t.Fatalf("error body %q does not mention the deadline", raw)
-	}
-	if elapsed > 500*time.Millisecond {
-		t.Fatalf("deadline response took %v, want <500ms", elapsed)
+	for _, tc := range []struct{ technique, quality string }{
+		{"RABBIT", "off"},
+		{"RABBIT++", "on"},
+	} {
+		start := time.Now()
+		status, _, raw = doReorder(t, ts.Client(), reorderURL(ts.URL, map[string]string{
+			"matrix": "soc-tight-1", "technique": tc.technique, "quality": tc.quality, "timeout_ms": "10",
+		}), nil)
+		elapsed := time.Since(start)
+		if status != http.StatusGatewayTimeout {
+			t.Fatalf("%s quality=%s: status %d (elapsed %v): %s", tc.technique, tc.quality, status, elapsed, raw)
+		}
+		if !strings.Contains(raw, context.DeadlineExceeded.Error()) {
+			t.Fatalf("%s quality=%s: error body %q does not mention the deadline", tc.technique, tc.quality, raw)
+		}
+		if elapsed > 500*time.Millisecond {
+			t.Fatalf("%s quality=%s: deadline response took %v, want <500ms", tc.technique, tc.quality, elapsed)
+		}
 	}
 }
 

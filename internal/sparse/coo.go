@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -140,7 +142,9 @@ func (c *COO) ToCSR() *CSR {
 		for k := lo; k < hi; k++ {
 			scratch = append(scratch, colVal{colBuf[k], valBuf[k]})
 		}
-		sort.Slice(scratch, func(a, b int) bool { return scratch[a].c < scratch[b].c })
+		// The same pdqsort as sort.Slice, so duplicates keep the order
+		// they are summed in below.
+		slices.SortFunc(scratch, func(a, b colVal) int { return cmp.Compare(a.c, b.c) })
 		for i := 0; i < len(scratch); i++ {
 			if n := len(out.ColIndices); n > int(out.RowOffsets[r]) && out.ColIndices[n-1] == scratch[i].c {
 				out.Values[n-1] += scratch[i].v // merge duplicate

@@ -9,9 +9,10 @@
 package sparse
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CSR is a sparse matrix in Compressed Sparse Row format.
@@ -265,7 +266,7 @@ func (m *CSR) PermuteSymmetric(p Permutation) *CSR {
 		for k, c := range cols {
 			scratch = append(scratch, colVal{p[c], vals[k]})
 		}
-		sort.Slice(scratch, func(a, b int) bool { return scratch[a].c < scratch[b].c })
+		slices.SortFunc(scratch, func(a, b colVal) int { return cmp.Compare(a.c, b.c) })
 		base := out.RowOffsets[newR]
 		for k, cv := range scratch {
 			out.ColIndices[base+int32(k)] = cv.c

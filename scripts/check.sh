@@ -37,6 +37,9 @@ go test -run 'TestTableIVCoversRegistry' -count=1 ./internal/experiments
 echo "==> golden-file regression (serial and parallel must match the goldens)"
 go test -run 'TestGolden' -count=1 ./internal/experiments
 
+echo "==> RABBIT output pin: matrix, permutation, label and parent digests on every Small corpus matrix; per-vertex allocation regression"
+go test -run 'TestRabbitDigests|TestRabbitAllocsIndependentOfSize' -count=1 ./internal/core
+
 echo "==> simulator differential: fast vs reference, full corpus x all kernels"
 go test -run 'TestDifferential|TestRunnerImplReference' -count=1 ./internal/experiments
 
