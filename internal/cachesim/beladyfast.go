@@ -91,6 +91,9 @@ type idxTable struct {
 	mask uint64
 }
 
+// lineEmpty marks a free idxTable bucket (line IDs are non-negative).
+const lineEmpty = int64(-1)
+
 func newIdxTable(hint int64) idxTable {
 	const maxHint = 1 << 26
 	if hint > maxHint {

@@ -13,10 +13,9 @@ var benchCfg = Config{CapacityBytes: 32 << 10, LineBytes: 128, Ways: 16}
 // benchTrace mimics a kernel reference stream: streaming operand runs
 // interleaved with Zipf-distributed irregular accesses over a footprint
 // several times the cache.
-func benchTrace(n int) ([]int64, int64) {
+func benchTrace(n int) []int64 {
 	r := gen.NewRNG(42)
 	trace := make([]int64, n)
-	distinct := make(map[int64]bool)
 	seq := int64(1 << 20)
 	for i := range trace {
 		switch i % 4 {
@@ -30,18 +29,17 @@ func benchTrace(n int) ([]int64, int64) {
 		case 3:
 			trace[i] = int64(2<<20) + int64(r.Intn(4096))
 		}
-		distinct[trace[i]] = true
 	}
-	return trace, int64(len(distinct))
+	return trace
 }
 
 // BenchmarkLRUAccess compares the per-access cost of the two LRU
 // implementations on the same mixed stream. The fast path must report
 // 0 allocs/op; scripts/bench.sh records the ratio in BENCH_cachesim.json.
 func BenchmarkLRUAccess(b *testing.B) {
-	trace, distinct := benchTrace(1 << 20)
+	trace := benchTrace(1 << 20)
 	b.Run("fast", func(b *testing.B) {
-		c := NewFastLRU(benchCfg, distinct)
+		c := NewFastLRU(benchCfg)
 		b.ReportAllocs()
 		b.ResetTimer()
 		j := 0
@@ -69,7 +67,7 @@ func BenchmarkLRUAccess(b *testing.B) {
 // BenchmarkBelady compares the full Belady pipelines (record + next-use +
 // forward simulation) per simulated access.
 func BenchmarkBelady(b *testing.B) {
-	trace, _ := benchTrace(1 << 18)
+	trace := benchTrace(1 << 18)
 	replay := func(emit func(int64)) {
 		for _, l := range trace {
 			emit(l)

@@ -1,13 +1,14 @@
 package cachesim
 
 // This file is the simulator's fast path: an arena-backed LRU whose
-// per-access work is one open-addressed hash probe plus an intrusive-list
-// splice, with zero heap allocations per access. It replaces the reference
-// implementation (cache.go) on every hot loop; the reference stays behind
-// Impl selection (impl.go) as the differential-testing oracle. Both
-// implementations produce bit-identical Stats for every trace: LRU
-// replacement with strictly increasing access clocks is deterministic, and
-// the fill order of invalid ways cannot affect any counted event.
+// per-access work is one load from a line-indexed table plus an
+// intrusive-list splice, with zero heap allocations per access. It
+// replaces the reference implementation (cache.go) on every hot loop; the
+// reference stays behind Impl selection (impl.go) as the
+// differential-testing oracle. Both implementations produce bit-identical
+// Stats for every trace: LRU replacement with strictly increasing access
+// clocks is deterministic, and the fill order of invalid ways cannot
+// affect any counted event.
 
 // slot is one cache way in the arena. Slots live in a single flat slice
 // indexed by set*ways+way; prev/next link the slot into its set's recency
@@ -18,81 +19,20 @@ type slot struct {
 	prev int32 // neighbour toward MRU, -1 at the head
 	next int32 // neighbour toward LRU, -1 at the tail
 	set  int32 // owning set (precomputed: slots never change sets)
-	// bucket memoizes the resident line's lineTable bucket so eviction
-	// can invalidate the table entry without a second probe; growTable
-	// rewrites the memos when buckets move.
-	bucket int32
 	// reused records whether the resident line hit at least once since it
 	// was filled; cleared on every fill (Table III's dead-line metric).
 	reused bool
 }
 
-// lineTable is an open-addressed hash table keyed by cache-line ID. It
-// serves two roles at once: line → arena-slot residency lookup (value ≥ 0)
-// and the "ever seen" set used for compulsory-miss classification (value
-// lineEvicted after eviction). Entries are never deleted — an evicted
-// line's value flips to lineEvicted but its key stays — so linear probing
-// needs no tombstones and lookups stay one contiguous scan.
-type lineTable struct {
-	keys []int64 // line IDs; lineEmpty marks a free bucket
-	vals []int32 // arena slot index, or lineEvicted when not resident
-	used int     // occupied buckets
-	mask uint64  // len(keys)-1; len is always a power of two
-}
-
+// Values of FastLRU.where besides a resident line's arena slot index.
 const (
-	lineEmpty   = int64(-1) // free bucket (line IDs are non-negative)
-	lineEvicted = int32(-1) // key known but line not resident
+	lineEvicted = int32(-1) // line seen before but not resident
+	lineUnseen  = int32(-2) // line never touched: its first miss is compulsory
 )
 
-// newLineTable sizes the table for about `hint` distinct lines (0 picks a
-// small default); capacity is the next power of two that keeps the load
-// factor under 3/4. Hints are clamped so a wild estimate cannot demand an
-// absurd up-front allocation — growth covers the remainder.
-func newLineTable(hint int64) lineTable {
-	const maxHint = 1 << 26 // 64M distinct lines ≈ 768 MB of buckets
-	if hint > maxHint {
-		hint = maxHint
-	}
-	size := 1024
-	for int64(size)*3 < hint*4 {
-		size <<= 1
-	}
-	t := lineTable{
-		keys: make([]int64, size),
-		vals: make([]int32, size),
-		mask: uint64(size - 1),
-	}
-	for i := range t.keys {
-		t.keys[i] = lineEmpty
-	}
-	return t
-}
-
-// hash spreads the line ID with a Fibonacci multiply; line IDs are dense
-// and sequential per operand array, which this mixes well.
-func (t *lineTable) hash(line int64) uint64 {
-	return (uint64(line) * 0x9e3779b97f4a7c15) >> 32 & t.mask
-}
-
-// find probes for line and returns the bucket index, its value, and
-// whether the key was present. When absent, the returned bucket is the
-// insertion point (valid until the next grow).
-//
-//repro:noalloc
-func (t *lineTable) find(line int64) (bucket int, val int32, found bool) {
-	i := t.hash(line)
-	for {
-		k := t.keys[i]
-		if k == line {
-			return int(i), t.vals[i], true
-		}
-		if k == lineEmpty {
-			return int(i), 0, false
-		}
-		i = (i + 1) & t.mask
-	}
-}
+// maxLines bounds the line IDs FastLRU accepts: where is indexed by line
+// ID, and 2^31 entries (8 GiB) is far beyond any trace in this repository.
+const maxLines = 1 << 31
 
 // FastLRU is the arena-backed fast path of the LRU model: identical
 // replacement semantics and Stats to LRU (cache.go), with O(1) hits and
@@ -113,18 +53,21 @@ type FastLRU struct {
 	head  []int32 // per-set MRU slot index, -1 while the set is empty
 	tail  []int32 // per-set LRU slot index
 	fill  []int32 // per-set count of valid ways (fills go to slot base+fill)
-	tab   lineTable
+	// where is indexed by line ID: the resident line's arena slot, or
+	// lineEvicted, or lineUnseen. It doubles the "ever seen" set of
+	// compulsory-miss classification. Trace layouts number lines densely
+	// from 0, so it costs 4 bytes per line of the footprint.
+	where []int32
 	stats Stats
 }
 
 var _ Simulator = (*FastLRU)(nil)
 
-// NewFastLRU builds an empty fast-path cache. sizeHint is the expected
-// number of distinct lines the trace touches (0 is always safe — the
-// line table grows as needed); passing the real footprint makes Access
-// allocation-free from the first touch. Panics on an invalid geometry,
-// which is always a programming error in this repository.
-func NewFastLRU(cfg Config, sizeHint int64) *FastLRU {
+// NewFastLRU builds an empty fast-path cache. Its line table starts empty
+// and grows by doubling to cover the largest line ID accessed. Panics on
+// an invalid geometry, which is always a programming error in this
+// repository.
+func NewFastLRU(cfg Config) *FastLRU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -139,7 +82,6 @@ func NewFastLRU(cfg Config, sizeHint int64) *FastLRU {
 		head:  make([]int32, sets),
 		tail:  make([]int32, sets),
 		fill:  make([]int32, sets),
-		tab:   newLineTable(sizeHint),
 	}
 	if sets&(sets-1) == 0 {
 		c.mask = sets - 1
@@ -189,53 +131,29 @@ func (c *FastLRU) moveToFront(set int64, si int32) {
 	c.head[set] = si
 }
 
-// insertLine adds a new key at the bucket returned by find, growing (and
-// re-probing) first if the insert would push the load factor over 3/4,
-// and returns the final bucket for the slot's memo. growTable caps the
-// table below 2^31 buckets, so the int32 conversion cannot wrap.
-func (c *FastLRU) insertLine(bucket int, line int64, val int32) int32 {
-	t := &c.tab
-	if (t.used+1)*4 > len(t.keys)*3 {
-		c.growTable()
-		bucket, _, _ = t.find(line)
+// grow extends where to cover line, doubling its length, and marks the
+// new entries unseen. It stays out of line so that Access, which calls it
+// only while new lines keep appearing past the table's end, makes no heap
+// allocation itself.
+//
+//go:noinline
+func (c *FastLRU) grow(line int64) {
+	if line < 0 {
+		panic("cachesim: negative line ID")
 	}
-	t.keys[bucket] = line
-	t.vals[bucket] = val
-	t.used++
-	return int32(bucket)
-}
-
-// growTable doubles the line table and rewrites the bucket memo of every
-// resident slot whose entry moved. Growth stops at 2^30 buckets (a 12 GiB
-// table tracking ≈800M distinct lines — far beyond any trace in this
-// repository) so bucket indices always fit the slots' int32 memo field.
-func (c *FastLRU) growTable() {
-	t := &c.tab
-	old := *t
-	size := len(old.keys) * 2
-	if size > 1<<30 {
-		panic("cachesim: line table exceeds 2^30 buckets")
+	if line >= maxLines {
+		panic("cachesim: line ID at or above 2^31")
 	}
-	t.keys = make([]int64, size)
-	t.vals = make([]int32, size)
-	t.mask = uint64(size - 1)
-	for i := range t.keys {
-		t.keys[i] = lineEmpty
+	size := max(int64(len(c.where))*2, 1024)
+	for size <= line {
+		size *= 2
 	}
-	for i, k := range old.keys {
-		if k == lineEmpty {
-			continue
-		}
-		j := t.hash(k)
-		for t.keys[j] != lineEmpty {
-			j = (j + 1) & t.mask
-		}
-		t.keys[j] = k
-		t.vals[j] = old.vals[i]
-		if old.vals[i] >= 0 {
-			c.slots[old.vals[i]].bucket = int32(j)
-		}
+	where := make([]int32, size)
+	n := copy(where, c.where)
+	for i := n; i < len(where); i++ {
+		where[i] = lineUnseen
 	}
+	c.where = where
 }
 
 // pushFront links a fresh (previously unlinked) slot at the MRU end.
@@ -254,20 +172,19 @@ func (c *FastLRU) pushFront(set int64, si int32) {
 }
 
 // Access touches one cache line (by line ID, i.e. address / LineBytes) and
-// reports whether it hit. Line IDs must be non-negative; traces derived
-// from trace.Layout always are, so a violation is a programming error.
-// The fast path performs no heap allocation (the line table grows
-// amortized only while new distinct lines keep appearing beyond the
-// construction hint).
+// reports whether it hit. Line IDs must lie in [0, 2^31); traces derived
+// from trace.Layout always do, so a violation is a programming error and
+// panics. The fast path performs no heap allocation (the line table grows
+// amortized only while new lines keep appearing past its end).
 //
 //repro:noalloc
 func (c *FastLRU) Access(line int64) bool {
-	if line < 0 {
-		panic("cachesim: negative line ID")
+	if uint64(line) >= uint64(len(c.where)) {
+		c.grow(line)
 	}
 	c.stats.Accesses++
-	bucket, si, known := c.tab.find(line)
-	if known && si >= 0 {
+	si := c.where[line]
+	if si >= 0 {
 		c.stats.Hits++
 		s := &c.slots[si]
 		s.reused = true
@@ -275,7 +192,7 @@ func (c *FastLRU) Access(line int64) bool {
 		return true
 	}
 	c.stats.Misses++
-	if !known {
+	if si == lineUnseen {
 		c.stats.Compulsory++
 	}
 	set := c.setOf(line)
@@ -288,26 +205,20 @@ func (c *FastLRU) Access(line int64) bool {
 		c.fill[set]++
 		c.pushFront(set, dst)
 	} else {
-		// Evict the set's LRU slot; its bucket memo invalidates the table
-		// entry without a second probe.
+		// Evict the set's LRU slot.
 		dst = c.tail[set]
 		v := &c.slots[dst]
 		c.stats.Evictions++
 		if !v.reused {
 			c.stats.DeadFills++
 		}
-		c.tab.vals[v.bucket] = lineEvicted
+		c.where[v.line] = lineEvicted
 		c.moveToFront(set, dst)
 	}
 	s := &c.slots[dst]
 	s.line = line
 	s.reused = false
-	if known {
-		c.tab.vals[bucket] = dst
-		s.bucket = int32(bucket)
-	} else {
-		s.bucket = c.insertLine(bucket, line, dst)
-	}
+	c.where[line] = dst
 	return false
 }
 

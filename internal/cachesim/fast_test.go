@@ -74,10 +74,10 @@ func TestFastBeladyMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-func TestFastLRUZeroHintGrows(t *testing.T) {
+func TestFastLRUTableGrows(t *testing.T) {
 	// Force several line-table growths past the initial capacity.
-	c := NewFastLRU(Config{CapacityBytes: 64 * 16 * 64, LineBytes: 64, Ways: 16}, 0)
-	ref := NewLRU(Config{CapacityBytes: 64 * 16 * 64, LineBytes: 64, Ways: 16})
+	cfg := Config{CapacityBytes: 64 * 16 * 64, LineBytes: 64, Ways: 16}
+	c, ref := NewFastLRU(cfg), NewLRU(cfg)
 	for l := int64(0); l < 20000; l++ {
 		line := (l * 7) % 5000
 		if c.Access(line) != ref.Access(line) {
@@ -86,6 +86,49 @@ func TestFastLRUZeroHintGrows(t *testing.T) {
 	}
 	if got, want := c.Finalize(), ref.Finalize(); got != want {
 		t.Fatalf("stats diverged after growth: fast %+v reference %+v", got, want)
+	}
+}
+
+func TestFastLRUSparseLineJumps(t *testing.T) {
+	// Line IDs that jump far past the table's current end, up to about
+	// 2^20, interleaved with re-touches of earlier lines: every growth
+	// must keep the resident and evicted lines it copies, and mark the
+	// lines it adds unseen.
+	r := gen.NewRNG(9)
+	for _, cfg := range diffCfgs {
+		c, ref := NewFastLRU(cfg), NewLRU(cfg)
+		var touched []int64
+		for i := 0; i < 4000; i++ {
+			var line int64
+			switch {
+			case len(touched) > 0 && r.Intn(3) > 0:
+				line = touched[r.Intn(int32(len(touched)))]
+			case r.Intn(4) == 0:
+				line = int64(r.Intn(1 << 20))
+			default:
+				line = int64(1) << r.Intn(21)
+			}
+			touched = append(touched, line)
+			if got, want := c.Access(line), ref.Access(line); got != want {
+				t.Fatalf("cfg %+v: access %d (line %d): fast hit=%v, reference hit=%v", cfg, i, line, got, want)
+			}
+		}
+		if got, want := c.Finalize(), ref.Finalize(); got != want {
+			t.Fatalf("cfg %+v: fast %+v, reference %+v", cfg, got, want)
+		}
+	}
+}
+
+func TestFastLRURejectsOutOfRangeLines(t *testing.T) {
+	for _, line := range []int64{-1, 1 << 31, 1 << 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Access(%d) did not panic", line)
+				}
+			}()
+			NewFastLRU(Config{CapacityBytes: 1024, LineBytes: 64, Ways: 2}).Access(line)
+		}()
 	}
 }
 

@@ -60,13 +60,11 @@ func ParseImpl(s string) (Impl, error) {
 }
 
 // NewSimulator builds an empty LRU simulator of the chosen implementation.
-// sizeHint is the expected number of distinct lines (used by the fast
-// path's table pre-size; 0 is always safe).
-func NewSimulator(cfg Config, impl Impl, sizeHint int64) Simulator {
+func NewSimulator(cfg Config, impl Impl) Simulator {
 	if impl == ImplReference {
 		return NewLRU(cfg)
 	}
-	return NewFastLRU(cfg, sizeHint)
+	return NewFastLRU(cfg)
 }
 
 // SimulateLRU runs a complete trace through a fresh LRU cache on the fast
@@ -80,7 +78,7 @@ func SimulateLRU(cfg Config, trace func(emit func(line int64))) Stats {
 // SimulateLRUWith is SimulateLRU with an explicit implementation choice;
 // the experiment drivers expose it as -impl for differential runs.
 func SimulateLRUWith(cfg Config, impl Impl, trace func(emit func(line int64))) Stats {
-	c := NewSimulator(cfg, impl, 0)
+	c := NewSimulator(cfg, impl)
 	trace(func(line int64) { c.Access(line) })
 	return c.Finalize()
 }

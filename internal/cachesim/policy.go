@@ -32,7 +32,9 @@ func (p Policy) String() string {
 	}
 }
 
-// Cache is a set-associative cache with a configurable replacement policy.
+// Cache is a set-associative cache with PLRU or RANDOM replacement. LRU
+// has one production implementation, FastLRU, which New returns for
+// PolicyLRU.
 type Cache struct {
 	cfg    Config
 	policy Policy
@@ -40,9 +42,6 @@ type Cache struct {
 	ways   int32
 	tags   []int64
 	reused []bool
-	// LRU state
-	lastUse []uint64
-	clock   uint64
 	// PLRU state: one tree-bit vector per set (ways-1 bits packed in a
 	// uint32; supports up to 32 ways).
 	plru []uint32
@@ -52,10 +51,14 @@ type Cache struct {
 	stats Stats
 }
 
-// New builds an empty cache with the given replacement policy. It panics
-// on invalid geometry (static configuration is a programming error) and on
-// PLRU with non-power-of-two associativity.
-func New(cfg Config, policy Policy) *Cache {
+// New builds an empty cache with the given replacement policy: the fast
+// LRU (NewFastLRU) for PolicyLRU, a Cache otherwise. It panics on invalid
+// geometry (static configuration is a programming error) and on PLRU with
+// non-power-of-two associativity.
+func New(cfg Config, policy Policy) Simulator {
+	if policy == PolicyLRU {
+		return NewFastLRU(cfg)
+	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -64,16 +67,15 @@ func New(cfg Config, policy Policy) *Cache {
 	}
 	total := cfg.Sets() * int64(cfg.Ways)
 	c := &Cache{
-		cfg:     cfg,
-		policy:  policy,
-		setOf:   cfg.setIndexer(),
-		ways:    cfg.Ways,
-		tags:    make([]int64, total),
-		reused:  make([]bool, total),
-		lastUse: make([]uint64, total),
-		plru:    make([]uint32, cfg.Sets()),
-		rng:     0x9e3779b97f4a7c15,
-		seen:    make(map[int64]struct{}, 1<<16),
+		cfg:    cfg,
+		policy: policy,
+		setOf:  cfg.setIndexer(),
+		ways:   cfg.Ways,
+		tags:   make([]int64, total),
+		reused: make([]bool, total),
+		plru:   make([]uint32, cfg.Sets()),
+		rng:    0x9e3779b97f4a7c15,
+		seen:   make(map[int64]struct{}, 1<<16),
 	}
 	for i := range c.tags {
 		c.tags[i] = -1
@@ -87,7 +89,6 @@ func (c *Cache) Access(line int64) bool {
 	if line < 0 {
 		panic("cachesim: negative line ID")
 	}
-	c.clock++
 	c.stats.Accesses++
 	set := c.setOf(line)
 	base := set * int64(c.ways)
@@ -96,7 +97,7 @@ func (c *Cache) Access(line int64) bool {
 		if c.tags[i] == line {
 			c.stats.Hits++
 			c.reused[i] = true
-			c.touch(set, int32(w), i)
+			c.touch(set, int32(w))
 			return true
 		}
 	}
@@ -114,15 +115,13 @@ func (c *Cache) Access(line int64) bool {
 	}
 	c.tags[victim] = line
 	c.reused[victim] = false
-	c.touch(set, int32(victim-base), victim)
+	c.touch(set, int32(victim-base))
 	return false
 }
 
 // touch updates policy metadata on a hit or fill.
-func (c *Cache) touch(set int64, way int32, idx int64) {
+func (c *Cache) touch(set int64, way int32) {
 	switch c.policy {
-	case PolicyLRU:
-		c.lastUse[idx] = c.clock
 	case PolicyPLRU:
 		// Flip tree bits along the path to `way` so they point away.
 		bits := c.plru[set]
@@ -152,16 +151,6 @@ func (c *Cache) victim(set, base int64) int64 {
 		}
 	}
 	switch c.policy {
-	case PolicyLRU:
-		victim := base
-		age := ^uint64(0)
-		for w := int64(0); w < int64(c.ways); w++ {
-			if c.lastUse[base+w] < age {
-				age = c.lastUse[base+w]
-				victim = base + w
-			}
-		}
-		return victim
 	case PolicyPLRU:
 		bits := c.plru[set]
 		node := int32(1)

@@ -30,16 +30,14 @@ func TestPolicyNames(t *testing.T) {
 }
 
 func TestCacheLRUMatchesLegacyLRU(t *testing.T) {
+	// The policy entry point's LRU is the production fast path; it must
+	// match the seed reference LRU, the oracle, on every Stats field.
 	cfg := Config{CapacityBytes: 8192, LineBytes: 64, Ways: 4}
 	trace := zipfTrace(1, 20000, 500)
 	a := runPolicy(cfg, PolicyLRU, trace)
-	b := SimulateLRU(cfg, func(emit func(int64)) {
-		for _, l := range trace {
-			emit(l)
-		}
-	})
-	if a.Misses != b.Misses || a.Hits != b.Hits || a.DeadFills != b.DeadFills {
-		t.Fatalf("policy-engine LRU %+v differs from legacy LRU %+v", a, b)
+	b := SimulateLRUWith(cfg, ImplReference, replay(trace))
+	if a != b {
+		t.Fatalf("policy-engine LRU %+v differs from reference LRU %+v", a, b)
 	}
 }
 

@@ -163,7 +163,7 @@ func Simulate(cfg Config, ot trace.OwnedTrace) Stats {
 	}
 	sims := make([]cachesim.Simulator, k)
 	for i := range sims {
-		sims[i] = cachesim.NewSimulator(cfg.L2, cfg.Impl, 0)
+		sims[i] = cachesim.NewSimulator(cfg.L2, cfg.Impl)
 	}
 	out := Stats{Devices: make([]DeviceStats, k)}
 	ot.Trace(func(dev int32, line int64) {

@@ -1,8 +1,9 @@
 package reorder
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/check"
 	"repro/internal/sparse"
@@ -34,51 +35,61 @@ func (RCM) OrderCtx(ctx context.Context, m *sparse.CSR) (sparse.Permutation, err
 		return nil, err
 	}
 	sym := m.Symmetrize()
-	n := sym.NumRows
-	deg := sym.Degrees()
+	p, err := cuthillMcKee(ctx, sym, sym.Degrees(), func(seed int32) (int32, error) { return seed, nil })
+	if err != nil {
+		return nil, err
+	}
+	return check.Perm(p), nil
+}
 
-	// Component start vertices: minimum degree first, so each BFS starts
-	// at a pseudo-peripheral low-degree vertex.
+// cuthillMcKee is the BFS RCM and RCM++ share; they differ only in where
+// each component's traversal starts. Components are discovered in
+// ascending degree order (ties by ascending ID), and start maps the
+// vertex that discovers a component to the vertex its BFS starts from.
+// The BFS appends each dequeued vertex's unvisited neighbours in
+// ascending degree order (ties in adjacency order, i.e. by ID) and checks
+// ctx every 1024 dequeued vertices. The reversed visit order is the
+// permutation.
+func cuthillMcKee(ctx context.Context, sym *sparse.CSR, deg []int32, start func(seed int32) (int32, error)) (sparse.Permutation, error) {
+	n := sym.NumRows
+	byDeg := func(a, b int32) int { return cmp.Compare(deg[a], deg[b]) }
 	byDegree := make([]int32, n)
 	for i := range byDegree {
 		byDegree[i] = int32(i)
 	}
-	sort.SliceStable(byDegree, func(a, b int) bool { return deg[byDegree[a]] < deg[byDegree[b]] })
+	slices.SortStableFunc(byDegree, byDeg)
 
 	visited := make([]bool, n)
+	// order doubles as the BFS queue: a component's vertices are appended
+	// behind head, in the order they are dequeued.
 	order := make([]int32, 0, n)
-	queue := make([]int32, 0, n)
-	scratch := make([]int32, 0, 64)
-	for _, start := range byDegree {
-		if visited[start] {
+	for _, seed := range byDegree {
+		if visited[seed] {
 			continue
 		}
-		visited[start] = true
-		queue = append(queue[:0], start)
-		order = append(order, start)
-		for head := 0; head < len(queue); head++ {
+		s, err := start(seed)
+		if err != nil {
+			return nil, err
+		}
+		visited[s] = true
+		order = append(order, s)
+		for head := len(order) - 1; head < len(order); head++ {
 			if head%1024 == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			u := queue[head]
-			cols, _ := sym.Row(u)
-			scratch = scratch[:0]
+			cols, _ := sym.Row(order[head])
+			tail := len(order)
 			for _, v := range cols {
 				if !visited[v] {
 					visited[v] = true
-					scratch = append(scratch, v)
+					order = append(order, v)
 				}
 			}
-			sort.SliceStable(scratch, func(a, b int) bool { return deg[scratch[a]] < deg[scratch[b]] })
-			queue = append(queue, scratch...)
-			order = append(order, scratch...)
+			slices.SortStableFunc(order[tail:], byDeg)
 		}
 	}
-	// Reverse.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return check.Perm(sparse.FromNewOrder(order)), nil
+	slices.Reverse(order)
+	return sparse.FromNewOrder(order), nil
 }

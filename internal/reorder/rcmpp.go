@@ -1,8 +1,10 @@
 package reorder
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/check"
@@ -60,69 +62,22 @@ func (RCMPP) OrderParallelCtx(ctx context.Context, m *sparse.CSR, opts Options) 
 		return nil, err
 	}
 	sym := m.Symmetrize()
-	n := sym.NumRows
 	deg := sym.Degrees()
-
 	// Components are still discovered lowest-degree-first so the output
 	// component order matches RCM's; only the start within each component
 	// changes.
-	byDegree := make([]int32, n)
-	for i := range byDegree {
-		byDegree[i] = int32(i)
+	f := newStartFinder(sym, deg, opts.workers())
+	p, err := cuthillMcKee(ctx, sym, deg, func(seed int32) (int32, error) { return f.find(ctx, seed) })
+	if err != nil {
+		return nil, err
 	}
-	sort.SliceStable(byDegree, func(a, b int) bool { return deg[byDegree[a]] < deg[byDegree[b]] })
-
-	visited := make([]bool, n)
-	order := make([]int32, 0, n)
-	queue := make([]int32, 0, n)
-	scratch := make([]int32, 0, 64)
-	seen := make([]int32, n)
-	for i := range seen {
-		seen[i] = -1
-	}
-	var epoch int32
-	for _, seed := range byDegree {
-		if visited[seed] {
-			continue
-		}
-		start, err := rcmppFindStart(ctx, sym, deg, seed, seen, &epoch, opts.workers())
-		if err != nil {
-			return nil, err
-		}
-		visited[start] = true
-		queue = append(queue[:0], start)
-		order = append(order, start)
-		for head := 0; head < len(queue); head++ {
-			if head%1024 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			u := queue[head]
-			cols, _ := sym.Row(u)
-			scratch = scratch[:0]
-			for _, v := range cols {
-				if !visited[v] {
-					visited[v] = true
-					scratch = append(scratch, v)
-				}
-			}
-			sort.SliceStable(scratch, func(a, b int) bool { return deg[scratch[a]] < deg[scratch[b]] })
-			queue = append(queue, scratch...)
-			order = append(order, scratch...)
-		}
-	}
-	// Reverse.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return check.Perm(sparse.FromNewOrder(order)), nil
+	return check.Perm(p), nil
 }
 
 // bfsShape summarizes one rooted BFS of a component: height is the number
 // of levels, width the size of the largest level, last the final level's
-// vertices in BFS order (only when wantLast). err slots the cancellation
-// error for ordered fan-in.
+// vertices in BFS order. err slots the cancellation error for ordered
+// fan-in.
 type bfsShape struct {
 	height int32
 	width  int32
@@ -130,53 +85,89 @@ type bfsShape struct {
 	err    error
 }
 
-// bfsMeasure runs a level-structured BFS from start using the caller's
-// epoch-stamped seen array (seen[v] == epoch marks v reached).
-func bfsMeasure(ctx context.Context, sym *sparse.CSR, start int32, seen []int32, epoch int32, wantLast bool) bfsShape {
+// bfsScratch is one worker's traversal state, reused by every BFS the
+// worker runs in one ordering: seen[v] == epoch marks v reached by the
+// current traversal, so starting the next one only advances epoch.
+type bfsScratch struct {
+	seen  []int32
+	epoch int32
+	queue []int32
+}
+
+// measure runs a level-structured BFS from start. The returned last level
+// aliases the scratch queue and is valid until the scratch's next
+// traversal.
+func (s *bfsScratch) measure(ctx context.Context, sym *sparse.CSR, start int32) bfsShape {
+	if s.epoch == math.MaxInt32 {
+		// Epochs run across components; restart them rather than wrap.
+		clear(s.seen)
+		s.epoch = 0
+	}
+	s.epoch++
 	var out bfsShape
-	queue := make([]int32, 1, 64)
-	queue[0] = start
-	seen[start] = epoch
-	levelStart := 0
-	for levelStart < len(queue) {
+	queue := append(s.queue[:0], start)
+	s.seen[start] = s.epoch
+	for levelStart := 0; levelStart < len(queue); {
 		levelEnd := len(queue)
 		out.height++
-		if w := int32(levelEnd - levelStart); w > out.width {
-			out.width = w
-		}
-		if wantLast {
-			out.last = append(out.last[:0], queue[levelStart:levelEnd]...)
-		}
+		out.width = max(out.width, int32(levelEnd-levelStart))
+		out.last = queue[levelStart:levelEnd]
 		for i := levelStart; i < levelEnd; i++ {
 			if i%1024 == 0 {
 				if err := ctx.Err(); err != nil {
-					out.err = err
-					return out
+					return bfsShape{err: err}
 				}
 			}
 			cols, _ := sym.Row(queue[i])
 			for _, v := range cols {
-				if seen[v] != epoch {
-					seen[v] = epoch
+				if s.seen[v] != s.epoch {
+					s.seen[v] = s.epoch
 					queue = append(queue, v)
 				}
 			}
 		}
 		levelStart = levelEnd
 	}
+	s.queue = queue
 	return out
 }
 
-// rcmppFindStart runs the bi-criteria pseudo-peripheral iteration from
-// seed and returns the chosen starting vertex for the component. seen and
-// epoch are the sequential caller's scratch; candidate evaluations use
-// worker-owned scratch so they can run concurrently.
-func rcmppFindStart(ctx context.Context, sym *sparse.CSR, deg []int32, seed int32, seen []int32, epoch *int32, workers int) (int32, error) {
+// startFinder is RCM++'s bi-criteria starting-node finder. It holds the
+// scratch of one ordering: one bfsScratch per candidate-evaluation worker
+// (the first also serves the sequential pseudo-peripheral iteration) and
+// the candidate and shape buffers, so a component costs work in
+// proportion to its own size, however many components the matrix has.
+type startFinder struct {
+	sym     *sparse.CSR
+	deg     []int32
+	scratch []bfsScratch
+	cands   []int32
+	shapes  []bfsShape
+}
+
+// newStartFinder allocates the finder's scratch for up to workers
+// concurrent candidate evaluations (at most rcmppMaxCandidates run at
+// once).
+func newStartFinder(sym *sparse.CSR, deg []int32, workers int) *startFinder {
+	f := &startFinder{
+		sym:     sym,
+		deg:     deg,
+		scratch: make([]bfsScratch, min(workers, rcmppMaxCandidates)),
+		shapes:  make([]bfsShape, rcmppMaxCandidates),
+	}
+	for i := range f.scratch {
+		f.scratch[i].seen = make([]int32, sym.NumRows)
+	}
+	return f
+}
+
+// find runs the bi-criteria pseudo-peripheral iteration from seed and
+// returns the chosen starting vertex for the component.
+func (f *startFinder) find(ctx context.Context, seed int32) (int32, error) {
 	cur := seed
 	var curHeight int32 = -1
 	for iter := 0; iter < rcmppMaxIterations; iter++ {
-		*epoch++
-		shape := bfsMeasure(ctx, sym, cur, seen, *epoch, true)
+		shape := f.scratch[0].measure(ctx, f.sym, cur)
 		if shape.err != nil {
 			return 0, shape.err
 		}
@@ -184,8 +175,8 @@ func rcmppFindStart(ctx context.Context, sym *sparse.CSR, deg []int32, seed int3
 			break
 		}
 		curHeight = shape.height
-		cands := rcmppCandidates(shape.last, deg)
-		shapes, err := rcmppEvaluate(ctx, sym, cands, workers)
+		cands := f.candidates(shape.last)
+		shapes, err := f.evaluate(ctx, cands)
 		if err != nil {
 			return 0, err
 		}
@@ -208,53 +199,41 @@ func rcmppFindStart(ctx context.Context, sym *sparse.CSR, deg []int32, seed int3
 	return cur, nil
 }
 
-// rcmppCandidates picks the lowest-degree vertices of the last BFS level,
-// ties broken by ascending ID, capped at rcmppMaxCandidates.
-func rcmppCandidates(last []int32, deg []int32) []int32 {
-	cands := make([]int32, len(last))
-	copy(cands, last)
-	sort.SliceStable(cands, func(a, b int) bool {
-		if deg[cands[a]] != deg[cands[b]] {
-			return deg[cands[a]] < deg[cands[b]]
+// candidates picks the lowest-degree vertices of the last BFS level, ties
+// broken by ascending ID, capped at rcmppMaxCandidates. The result is the
+// finder's own buffer, so it outlives the scratch queue last aliases.
+func (f *startFinder) candidates(last []int32) []int32 {
+	cands := append(f.cands[:0], last...)
+	slices.SortStableFunc(cands, func(a, b int32) int {
+		if c := cmp.Compare(f.deg[a], f.deg[b]); c != 0 {
+			return c
 		}
-		return cands[a] < cands[b]
+		return cmp.Compare(a, b)
 	})
-	if len(cands) > rcmppMaxCandidates {
-		cands = cands[:rcmppMaxCandidates]
-	}
-	return cands
+	f.cands = cands
+	return cands[:min(len(cands), rcmppMaxCandidates)]
 }
 
-// rcmppEvaluate measures the BFS shape rooted at every candidate, fanning
-// the traversals out over the workers. Candidate i is handled by worker
-// i%workers and writes only shapes[i], so the fan-in is ordered.
-func rcmppEvaluate(ctx context.Context, sym *sparse.CSR, cands []int32, workers int) ([]bfsShape, error) {
-	shapes := make([]bfsShape, len(cands))
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		seen := make([]int32, sym.NumRows)
-		for i := range seen {
-			seen[i] = -1
-		}
+// evaluate measures the BFS shape rooted at every candidate, fanning the
+// traversals out over the scratch workers. Candidate i is handled by
+// worker i%w and writes only shapes[i], so the fan-in is ordered.
+func (f *startFinder) evaluate(ctx context.Context, cands []int32) ([]bfsShape, error) {
+	shapes := f.shapes[:len(cands)]
+	w := min(len(f.scratch), len(cands))
+	if w <= 1 {
 		for ci, c := range cands {
-			shapes[ci] = bfsMeasure(ctx, sym, c, seen, int32(ci), false)
+			shapes[ci] = f.scratch[0].measure(ctx, f.sym, c)
 		}
 	} else {
 		var wg sync.WaitGroup
-		for wi := 0; wi < workers; wi++ {
+		for wi := 0; wi < w; wi++ {
 			wg.Add(1)
-			go func(wi int) {
+			go func(s *bfsScratch) {
 				defer wg.Done()
-				seen := make([]int32, sym.NumRows)
-				for i := range seen {
-					seen[i] = -1
+				for ci := wi; ci < len(cands); ci += w {
+					shapes[ci] = s.measure(ctx, f.sym, cands[ci])
 				}
-				for ci := wi; ci < len(cands); ci += workers {
-					shapes[ci] = bfsMeasure(ctx, sym, cands[ci], seen, int32(ci), false)
-				}
-			}(wi)
+			}(&f.scratch[wi])
 		}
 		wg.Wait()
 	}

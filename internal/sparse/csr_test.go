@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -173,6 +174,74 @@ func TestPermuteSymmetricRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: permute then inverse-permute does not restore matrix", trial)
 		}
 	}
+}
+
+// permuteOracle is PermuteSymmetric by definition: the COO of
+// (p[i], p[j], v) for every entry (i, j, v), assembled by ToCSR.
+func permuteOracle(m *CSR, p Permutation) *CSR {
+	coo := NewCOO(m.NumRows, m.NumCols, m.NNZ())
+	for r := int32(0); r < m.NumRows; r++ {
+		cols, vals := m.Row(r)
+		for k, c := range cols {
+			coo.Add(p[r], p[c], vals[k])
+		}
+	}
+	return coo.ToCSR()
+}
+
+// sameBits is CSR.Equal with values compared bit for bit, so NaN and -0
+// entries compare as stored.
+func sameBits(a, b *CSR) bool {
+	if !a.EqualPattern(b) {
+		return false
+	}
+	for i, v := range a.Values {
+		if math.Float32bits(v) != math.Float32bits(b.Values[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestPermuteSymmetricMatchesOracle(t *testing.T) {
+	check := func(name string, m *CSR, p Permutation) {
+		t.Helper()
+		if got, want := m.PermuteSymmetric(p), permuteOracle(m, p); !sameBits(got, want) {
+			t.Fatalf("%s: PermuteSymmetric %+v, oracle %+v", name, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for name, m := range wireCorpus() {
+		if m.IsSquare() {
+			check(name, m, randomPerm(rng, m.NumRows))
+			check(name+"/identity", m, Identity(m.NumRows))
+		}
+	}
+	// Random shapes: 0×0 and 1×1 included, rows left empty, and one row
+	// full (a hub whose entries land in every output column).
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Int31n(40)
+		coo := NewCOO(n, n, 0)
+		for k := rng.Intn(int(n*n) + 1); k > 0; k-- {
+			coo.Add(rng.Int31n(n), rng.Int31n(n), rng.Float32()-0.5)
+		}
+		if n > 0 && rng.Intn(2) == 0 {
+			hub := rng.Int31n(n)
+			for c := int32(0); c < n; c++ {
+				coo.Add(hub, c, float32(c))
+			}
+		}
+		m := coo.ToCSR()
+		p := randomPerm(rng, n)
+		return sameBits(m.PermuteSymmetric(p), permuteOracle(m, p))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	one := NewCOO(1, 1, 1)
+	one.Add(0, 0, 2)
+	check("1x1", one.ToCSR(), Identity(1))
 }
 
 func TestPermuteSymmetricPreservesStructure(t *testing.T) {

@@ -121,6 +121,7 @@ func SpMVCSROwned(m *sparse.CSR, owner []int32, lineBytes int64) OwnedTrace {
 	for v := int64(0); v < n; v++ {
 		h.claim(l.X+v*ElemBytes, ElemBytes, owner[v])
 	}
+	yB, roB, colB, valB, xB := l.lines()
 	return OwnedTrace{
 		Home: h.home,
 		Trace: func(emit func(int32, int64)) {
@@ -130,15 +131,15 @@ func SpMVCSROwned(m *sparse.CSR, owner []int32, lineBytes int64) OwnedTrace {
 			yS := newOwnedStream(emit)
 			for row := int64(0); row < n; row++ {
 				dev := owner[row]
-				roS.access(dev, l.line(l.RowOff+row*ElemBytes))
-				roS.access(dev, l.line(l.RowOff+(row+1)*ElemBytes))
+				roS.access(dev, roB+row*ElemBytes/lineBytes)
+				roS.access(dev, roB+(row+1)*ElemBytes/lineBytes)
 				start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
 				for i := start; i < end; i++ {
-					colS.access(dev, l.line(l.Col+i*ElemBytes))
-					valS.access(dev, l.line(l.Val+i*ElemBytes))
-					emit(dev, l.line(l.X+int64(m.ColIndices[i])*ElemBytes))
+					colS.access(dev, colB+i*ElemBytes/lineBytes)
+					valS.access(dev, valB+i*ElemBytes/lineBytes)
+					emit(dev, xB+int64(m.ColIndices[i])*ElemBytes/lineBytes)
 				}
-				yS.access(dev, l.line(l.Y+row*ElemBytes))
+				yS.access(dev, yB+row*ElemBytes/lineBytes)
 			}
 		},
 	}
@@ -165,6 +166,7 @@ func SpMVCOOOwned(c *sparse.COO, owner []int32, lineBytes int64) OwnedTrace {
 	for v := int64(0); v < n; v++ {
 		h.claim(l.X+v*ElemBytes, ElemBytes, owner[v])
 	}
+	yB, rowB, colB, valB, xB := l.lines()
 	return OwnedTrace{
 		Home: h.home,
 		Trace: func(emit func(int32, int64)) {
@@ -175,11 +177,11 @@ func SpMVCOOOwned(c *sparse.COO, owner []int32, lineBytes int64) OwnedTrace {
 			for k := range c.RowIdx {
 				i := int64(k)
 				dev := owner[c.RowIdx[k]]
-				rowS.access(dev, l.line(l.RowOff+i*ElemBytes))
-				colS.access(dev, l.line(l.Col+i*ElemBytes))
-				valS.access(dev, l.line(l.Val+i*ElemBytes))
-				emit(dev, l.line(l.X+int64(c.ColIdx[k])*ElemBytes))
-				yS.access(dev, l.line(l.Y+int64(c.RowIdx[k])*ElemBytes))
+				rowS.access(dev, rowB+i*ElemBytes/lineBytes)
+				colS.access(dev, colB+i*ElemBytes/lineBytes)
+				valS.access(dev, valB+i*ElemBytes/lineBytes)
+				emit(dev, xB+int64(c.ColIdx[k])*ElemBytes/lineBytes)
+				yS.access(dev, yB+int64(c.RowIdx[k])*ElemBytes/lineBytes)
 			}
 		},
 	}
@@ -216,6 +218,7 @@ func SpMMCSROwned(m *sparse.CSR, k int64, owner []int32, lineBytes int64) OwnedT
 	for v := int64(0); v < n; v++ {
 		h.claim(l.X+v*rowBytes, rowBytes, owner[v])
 	}
+	cB, roB, colB, valB, bB := l.lines()
 	return OwnedTrace{
 		Home: h.home,
 		Trace: func(emit func(int32, int64)) {
@@ -225,19 +228,19 @@ func SpMMCSROwned(m *sparse.CSR, k int64, owner []int32, lineBytes int64) OwnedT
 			cS := newOwnedStream(emit)
 			for row := int64(0); row < n; row++ {
 				dev := owner[row]
-				roS.access(dev, l.line(l.RowOff+row*ElemBytes))
-				roS.access(dev, l.line(l.RowOff+(row+1)*ElemBytes))
+				roS.access(dev, roB+row*ElemBytes/lineBytes)
+				roS.access(dev, roB+(row+1)*ElemBytes/lineBytes)
 				start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
 				for i := start; i < end; i++ {
-					colS.access(dev, l.line(l.Col+i*ElemBytes))
-					valS.access(dev, l.line(l.Val+i*ElemBytes))
-					bAddr := l.X + int64(m.ColIndices[i])*rowBytes
-					for ln, last := l.line(bAddr), l.line(bAddr+rowBytes-1); ln <= last; ln++ {
+					colS.access(dev, colB+i*ElemBytes/lineBytes)
+					valS.access(dev, valB+i*ElemBytes/lineBytes)
+					off := int64(m.ColIndices[i]) * rowBytes
+					for ln, last := bB+off/lineBytes, bB+(off+rowBytes-1)/lineBytes; ln <= last; ln++ {
 						emit(dev, ln)
 					}
 				}
-				cBase := l.Y + row*rowBytes
-				for ln, last := l.line(cBase), l.line(cBase+rowBytes-1); ln <= last; ln++ {
+				off := row * rowBytes
+				for ln, last := cB+off/lineBytes, cB+(off+rowBytes-1)/lineBytes; ln <= last; ln++ {
 					cS.access(dev, ln)
 				}
 			}
@@ -296,6 +299,9 @@ func SpGEMMOwned(a, b *sparse.CSR, cRowNNZ []int32, owner []int32, lineBytes int
 			h.claim(base+cOff[r]*ElemBytes, (cOff[r+1]-cOff[r])*ElemBytes, owner[r])
 		}
 	}
+	aRoB, aColB, aValB := l.ARowOff/lineBytes, l.ACol/lineBytes, l.AVal/lineBytes
+	bRoB, bColB, bValB := l.BRowOff/lineBytes, l.BCol/lineBytes, l.BVal/lineBytes
+	cRoB, cColB, cValB := l.CRowOff/lineBytes, l.CCol/lineBytes, l.CVal/lineBytes
 	return OwnedTrace{
 		Home: h.home,
 		Trace: func(emit func(int32, int64)) {
@@ -305,33 +311,33 @@ func SpGEMMOwned(a, b *sparse.CSR, cRowNNZ []int32, owner []int32, lineBytes int
 			cRoS := newOwnedStream(emit)
 			cColS := newOwnedStream(emit)
 			cValS := newOwnedStream(emit)
-			for row := int32(0); row < a.NumRows; row++ {
+			for row := int64(0); row < an; row++ {
 				dev := owner[row]
-				aRoS.access(dev, l.line(l.ARowOff+int64(row)*ElemBytes))
-				aRoS.access(dev, l.line(l.ARowOff+int64(row+1)*ElemBytes))
+				aRoS.access(dev, aRoB+row*ElemBytes/lineBytes)
+				aRoS.access(dev, aRoB+(row+1)*ElemBytes/lineBytes)
 				start, end := int64(a.RowOffsets[row]), int64(a.RowOffsets[row+1])
 				for i := start; i < end; i++ {
-					aColS.access(dev, l.line(l.ACol+i*ElemBytes))
-					aValS.access(dev, l.line(l.AVal+i*ElemBytes))
+					aColS.access(dev, aColB+i*ElemBytes/lineBytes)
+					aValS.access(dev, aValB+i*ElemBytes/lineBytes)
 					k := int64(a.ColIndices[i])
-					emit(dev, l.line(l.BRowOff+k*ElemBytes))
-					emit(dev, l.line(l.BRowOff+(k+1)*ElemBytes))
+					emit(dev, bRoB+k*ElemBytes/lineBytes)
+					emit(dev, bRoB+(k+1)*ElemBytes/lineBytes)
 					bs, be := int64(b.RowOffsets[k]), int64(b.RowOffsets[k+1])
 					if be == bs {
 						continue
 					}
-					for ln, last := l.line(l.BCol+bs*ElemBytes), l.line(l.BCol+be*ElemBytes-1); ln <= last; ln++ {
+					for ln, last := bColB+bs*ElemBytes/lineBytes, bColB+(be*ElemBytes-1)/lineBytes; ln <= last; ln++ {
 						emit(dev, ln)
 					}
-					for ln, last := l.line(l.BVal+bs*ElemBytes), l.line(l.BVal+be*ElemBytes-1); ln <= last; ln++ {
+					for ln, last := bValB+bs*ElemBytes/lineBytes, bValB+(be*ElemBytes-1)/lineBytes; ln <= last; ln++ {
 						emit(dev, ln)
 					}
 				}
-				cRoS.access(dev, l.line(l.CRowOff+int64(row)*ElemBytes))
-				cRoS.access(dev, l.line(l.CRowOff+int64(row+1)*ElemBytes))
+				cRoS.access(dev, cRoB+row*ElemBytes/lineBytes)
+				cRoS.access(dev, cRoB+(row+1)*ElemBytes/lineBytes)
 				for i := cOff[row]; i < cOff[row+1]; i++ {
-					cColS.access(dev, l.line(l.CCol+i*ElemBytes))
-					cValS.access(dev, l.line(l.CVal+i*ElemBytes))
+					cColS.access(dev, cColB+i*ElemBytes/lineBytes)
+					cValS.access(dev, cValB+i*ElemBytes/lineBytes)
 				}
 			}
 		},

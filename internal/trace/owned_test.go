@@ -135,10 +135,10 @@ func TestOwnedRowAttribution(t *testing.T) {
 	}
 	// X is homed per vertex: X[0] with device 0, X[3] with device 1.
 	l := NewLayout(4, 4, 1, 128)
-	if got := ot.Home[l.line(l.X)]; got != 0 {
+	if got := ot.Home[l.X/l.LineBytes]; got != 0 {
 		t.Fatalf("X[0] line homed on device %d, want 0", got)
 	}
-	if got := ot.Home[l.line(l.Y)]; got != 0 {
+	if got := ot.Home[l.Y/l.LineBytes]; got != 0 {
 		t.Fatalf("Y[0] line homed on device %d, want 0", got)
 	}
 }

@@ -48,9 +48,6 @@ func NewSpGEMMLayout(aRows, aNNZ, bRows, bNNZ, cNNZ, lineBytes int64) SpGEMMLayo
 	return l
 }
 
-// line converts a byte address to a cache-line ID.
-func (l SpGEMMLayout) line(addr int64) int64 { return addr / l.LineBytes }
-
 // SpGEMM returns the row-wise Gustavson reference stream of C = A·B:
 // A's arrays and C's arrays stream sequentially, while every A-nonzero
 // dereferences one row of B — two row-offset entries plus the row's
@@ -86,7 +83,12 @@ func spgemmStream(a, b *sparse.CSR, cRowNNZ []int32, tiles []community.Shard, li
 	for i, nnz := range cRowNNZ {
 		cOff[i+1] = cOff[i] + int64(nnz)
 	}
+	// Base line of every array: the bases are line-aligned, so element i
+	// lies on line base + i*ElemBytes/lineBytes.
 	l := NewSpGEMMLayout(int64(a.NumRows), int64(a.NNZ()), int64(b.NumRows), int64(b.NNZ()), cOff[a.NumRows], lineBytes)
+	aRoB, aColB, aValB := l.ARowOff/lineBytes, l.ACol/lineBytes, l.AVal/lineBytes
+	bRoB, bColB, bValB := l.BRowOff/lineBytes, l.BCol/lineBytes, l.BVal/lineBytes
+	cRoB, cColB, cValB := l.CRowOff/lineBytes, l.CCol/lineBytes, l.CVal/lineBytes
 	return func(emit func(int64)) {
 		aRoS := newStream(emit)
 		aColS := newStream(emit)
@@ -100,18 +102,18 @@ func spgemmStream(a, b *sparse.CSR, cRowNNZ []int32, tiles []community.Shard, li
 			seen = make([]int64, b.NumRows)
 		}
 		tile := func(lo, hi int32, gen int64) {
-			for row := lo; row < hi; row++ {
-				aRoS.access(l.line(l.ARowOff + int64(row)*ElemBytes))
-				aRoS.access(l.line(l.ARowOff + int64(row+1)*ElemBytes))
+			for row := int64(lo); row < int64(hi); row++ {
+				aRoS.access(aRoB + row*ElemBytes/lineBytes)
+				aRoS.access(aRoB + (row+1)*ElemBytes/lineBytes)
 				start, end := int64(a.RowOffsets[row]), int64(a.RowOffsets[row+1])
 				for i := start; i < end; i++ {
-					aColS.access(l.line(l.ACol + i*ElemBytes))
-					aValS.access(l.line(l.AVal + i*ElemBytes))
+					aColS.access(aColB + i*ElemBytes/lineBytes)
+					aValS.access(aValB + i*ElemBytes/lineBytes)
 					k := int64(a.ColIndices[i])
 					// The B row dereference: two offset entries, then the
 					// row's column/value segments if not tile-resident.
-					emit(l.line(l.BRowOff + k*ElemBytes))
-					emit(l.line(l.BRowOff + (k+1)*ElemBytes))
+					emit(bRoB + k*ElemBytes/lineBytes)
+					emit(bRoB + (k+1)*ElemBytes/lineBytes)
 					if seen != nil {
 						if seen[k] == gen {
 							continue
@@ -122,21 +124,21 @@ func spgemmStream(a, b *sparse.CSR, cRowNNZ []int32, tiles []community.Shard, li
 					if be == bs {
 						continue
 					}
-					for ln, last := l.line(l.BCol+bs*ElemBytes), l.line(l.BCol+be*ElemBytes-1); ln <= last; ln++ {
+					for ln, last := bColB+bs*ElemBytes/lineBytes, bColB+(be*ElemBytes-1)/lineBytes; ln <= last; ln++ {
 						emit(ln)
 					}
-					for ln, last := l.line(l.BVal+bs*ElemBytes), l.line(l.BVal+be*ElemBytes-1); ln <= last; ln++ {
+					for ln, last := bValB+bs*ElemBytes/lineBytes, bValB+(be*ElemBytes-1)/lineBytes; ln <= last; ln++ {
 						emit(ln)
 					}
 				}
 			}
 			// Tile accumulators spill: the tile's C rows stream out.
-			for row := lo; row < hi; row++ {
-				cRoS.access(l.line(l.CRowOff + int64(row)*ElemBytes))
-				cRoS.access(l.line(l.CRowOff + int64(row+1)*ElemBytes))
+			for row := int64(lo); row < int64(hi); row++ {
+				cRoS.access(cRoB + row*ElemBytes/lineBytes)
+				cRoS.access(cRoB + (row+1)*ElemBytes/lineBytes)
 				for i := cOff[row]; i < cOff[row+1]; i++ {
-					cColS.access(l.line(l.CCol + i*ElemBytes))
-					cValS.access(l.line(l.CVal + i*ElemBytes))
+					cColS.access(cColB + i*ElemBytes/lineBytes)
+					cValS.access(cValB + i*ElemBytes/lineBytes)
 				}
 			}
 		}

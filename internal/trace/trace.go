@@ -68,8 +68,14 @@ func newLayout(n, nnz, k, rowEntries, lineBytes int64) Layout {
 	return l
 }
 
-// line converts a byte address to a cache-line ID.
-func (l Layout) line(addr int64) int64 { return addr / l.LineBytes }
+// lines returns the first line ID of each operand, in the field order of
+// Layout: Y, RowOff, Col, Val, X. Every base is line-aligned, so element
+// i of an operand of e-byte elements lies on line base + i*e/LineBytes.
+// Generators hold these in locals, so their per-access loops copy no
+// layout.
+func (l Layout) lines() (y, rowOff, col, val, x int64) {
+	return l.Y / l.LineBytes, l.RowOff / l.LineBytes, l.Col / l.LineBytes, l.Val / l.LineBytes, l.X / l.LineBytes
+}
 
 // stream coalesces sequential accesses to one array: it emits when the
 // line differs from the previous line of the same stream. Each new line is
@@ -96,22 +102,22 @@ func (s *stream) access(line int64) {
 // rowOffsets, coords, values, and Y stream sequentially; X is dereferenced
 // per nonzero through the column index.
 func SpMVCSR(m *sparse.CSR, lineBytes int64) func(emit func(int64)) {
-	l := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes)
+	yB, roB, colB, valB, xB := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes).lines()
 	return func(emit func(int64)) {
 		roS := newStream(emit)
 		colS := newStream(emit)
 		valS := newStream(emit)
 		yS := newStream(emit)
 		for row := int64(0); row < int64(m.NumRows); row++ {
-			roS.access(l.line(l.RowOff + row*ElemBytes))
-			roS.access(l.line(l.RowOff + (row+1)*ElemBytes))
+			roS.access(roB + row*ElemBytes/lineBytes)
+			roS.access(roB + (row+1)*ElemBytes/lineBytes)
 			start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
 			for i := start; i < end; i++ {
-				colS.access(l.line(l.Col + i*ElemBytes))
-				valS.access(l.line(l.Val + i*ElemBytes))
-				emit(l.line(l.X + int64(m.ColIndices[i])*ElemBytes))
+				colS.access(colB + i*ElemBytes/lineBytes)
+				valS.access(valB + i*ElemBytes/lineBytes)
+				emit(xB + int64(m.ColIndices[i])*ElemBytes/lineBytes)
 			}
-			yS.access(l.line(l.Y + row*ElemBytes))
+			yS.access(yB + row*ElemBytes/lineBytes)
 		}
 	}
 }
@@ -120,7 +126,7 @@ func SpMVCSR(m *sparse.CSR, lineBytes int64) func(emit func(int64)) {
 // triplet arrays stream; X is irregular per entry; Y follows the row index
 // (streaming when the COO is row-sorted, irregular otherwise).
 func SpMVCOO(c *sparse.COO, lineBytes int64) func(emit func(int64)) {
-	l := NewLayoutCOO(int64(c.NumRows), int64(c.NNZ()), lineBytes)
+	yB, rowB, colB, valB, xB := NewLayoutCOO(int64(c.NumRows), int64(c.NNZ()), lineBytes).lines()
 	return func(emit func(int64)) {
 		rowS := newStream(emit)
 		colS := newStream(emit)
@@ -128,11 +134,11 @@ func SpMVCOO(c *sparse.COO, lineBytes int64) func(emit func(int64)) {
 		yS := newStream(emit)
 		for k := range c.RowIdx {
 			i := int64(k)
-			rowS.access(l.line(l.RowOff + i*ElemBytes))
-			colS.access(l.line(l.Col + i*ElemBytes))
-			valS.access(l.line(l.Val + i*ElemBytes))
-			emit(l.line(l.X + int64(c.ColIdx[k])*ElemBytes))
-			yS.access(l.line(l.Y + int64(c.RowIdx[k])*ElemBytes))
+			rowS.access(rowB + i*ElemBytes/lineBytes)
+			colS.access(colB + i*ElemBytes/lineBytes)
+			valS.access(valB + i*ElemBytes/lineBytes)
+			emit(xB + int64(c.ColIdx[k])*ElemBytes/lineBytes)
+			yS.access(yB + int64(c.RowIdx[k])*ElemBytes/lineBytes)
 		}
 	}
 }
@@ -145,7 +151,7 @@ func SpMMCSR(m *sparse.CSR, k int64, lineBytes int64) func(emit func(int64)) {
 	if k < 1 {
 		panic(fmt.Sprintf("trace: SpMM with k = %d", k))
 	}
-	l := NewLayout(int64(m.NumRows), int64(m.NNZ()), k, lineBytes)
+	cB, roB, colB, valB, bB := NewLayout(int64(m.NumRows), int64(m.NNZ()), k, lineBytes).lines()
 	rowBytes := k * ElemBytes
 	return func(emit func(int64)) {
 		roS := newStream(emit)
@@ -153,21 +159,21 @@ func SpMMCSR(m *sparse.CSR, k int64, lineBytes int64) func(emit func(int64)) {
 		valS := newStream(emit)
 		cS := newStream(emit)
 		for row := int64(0); row < int64(m.NumRows); row++ {
-			roS.access(l.line(l.RowOff + row*ElemBytes))
-			roS.access(l.line(l.RowOff + (row+1)*ElemBytes))
+			roS.access(roB + row*ElemBytes/lineBytes)
+			roS.access(roB + (row+1)*ElemBytes/lineBytes)
 			start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
 			for i := start; i < end; i++ {
-				colS.access(l.line(l.Col + i*ElemBytes))
-				valS.access(l.line(l.Val + i*ElemBytes))
+				colS.access(colB + i*ElemBytes/lineBytes)
+				valS.access(valB + i*ElemBytes/lineBytes)
 				// Touch every line spanned by B's k-element row.
-				bAddr := l.X + int64(m.ColIndices[i])*rowBytes
-				for ln, last := l.line(bAddr), l.line(bAddr+rowBytes-1); ln <= last; ln++ {
+				off := int64(m.ColIndices[i]) * rowBytes
+				for ln, last := bB+off/lineBytes, bB+(off+rowBytes-1)/lineBytes; ln <= last; ln++ {
 					emit(ln)
 				}
 			}
 			// C row write streams across its spanned lines.
-			cBase := l.Y + row*rowBytes
-			for ln, last := l.line(cBase), l.line(cBase+rowBytes-1); ln <= last; ln++ {
+			off := row * rowBytes
+			for ln, last := cB+off/lineBytes, cB+(off+rowBytes-1)/lineBytes; ln <= last; ln++ {
 				cS.access(ln)
 			}
 		}

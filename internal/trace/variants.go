@@ -15,7 +15,7 @@ func SpMVCSRInterleaved(m *sparse.CSR, lineBytes int64, groups int32) func(emit 
 	if groups < 1 {
 		groups = 1
 	}
-	l := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes)
+	yB, roB, colB, valB, xB := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes).lines()
 	return func(emit func(int64)) {
 		// Per-group streams: each group walks its own row subsequence, so
 		// streaming coalescing happens per group, as it would per SM.
@@ -47,15 +47,15 @@ func SpMVCSRInterleaved(m *sparse.CSR, lineBytes int64, groups int32) func(emit 
 				row := cu.row
 				cu.row += int64(groups)
 				remaining--
-				cu.roS.access(l.line(l.RowOff + row*ElemBytes))
-				cu.roS.access(l.line(l.RowOff + (row+1)*ElemBytes))
+				cu.roS.access(roB + row*ElemBytes/lineBytes)
+				cu.roS.access(roB + (row+1)*ElemBytes/lineBytes)
 				start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
 				for i := start; i < end; i++ {
-					cu.colS.access(l.line(l.Col + i*ElemBytes))
-					cu.valS.access(l.line(l.Val + i*ElemBytes))
-					emit(l.line(l.X + int64(m.ColIndices[i])*ElemBytes))
+					cu.colS.access(colB + i*ElemBytes/lineBytes)
+					cu.valS.access(valB + i*ElemBytes/lineBytes)
+					emit(xB + int64(m.ColIndices[i])*ElemBytes/lineBytes)
 				}
-				cu.yS.access(l.line(l.Y + row*ElemBytes))
+				cu.yS.access(yB + row*ElemBytes/lineBytes)
 			}
 		}
 	}
@@ -72,7 +72,7 @@ func SpMVCSRTiled(m *sparse.CSR, lineBytes int64, tileCols int32) func(emit func
 	if tileCols <= 0 {
 		tileCols = m.NumCols
 	}
-	l := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes)
+	yB, roB, colB, valB, xB := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes).lines()
 	return func(emit func(int64)) {
 		for tileLo := int32(0); tileLo < m.NumCols || tileLo == 0; tileLo += tileCols {
 			tileHi := tileLo + tileCols
@@ -81,8 +81,8 @@ func SpMVCSRTiled(m *sparse.CSR, lineBytes int64, tileCols int32) func(emit func
 			valS := newStream(emit)
 			yS := newStream(emit)
 			for row := int64(0); row < int64(m.NumRows); row++ {
-				roS.access(l.line(l.RowOff + row*ElemBytes))
-				roS.access(l.line(l.RowOff + (row+1)*ElemBytes))
+				roS.access(roB + row*ElemBytes/lineBytes)
+				roS.access(roB + (row+1)*ElemBytes/lineBytes)
 				start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
 				touched := false
 				for i := start; i < end; i++ {
@@ -94,13 +94,13 @@ func SpMVCSRTiled(m *sparse.CSR, lineBytes int64, tileCols int32) func(emit func
 					// its nonzeros (as compressed tiled formats do per
 					// tile after preprocessing, we charge only the
 					// touched entries).
-					colS.access(l.line(l.Col + i*ElemBytes))
-					valS.access(l.line(l.Val + i*ElemBytes))
-					emit(l.line(l.X + int64(c)*ElemBytes))
+					colS.access(colB + i*ElemBytes/lineBytes)
+					valS.access(valB + i*ElemBytes/lineBytes)
+					emit(xB + int64(c)*ElemBytes/lineBytes)
 					touched = true
 				}
 				if touched {
-					yS.access(l.line(l.Y + row*ElemBytes))
+					yS.access(yB + row*ElemBytes/lineBytes)
 				}
 			}
 			if m.NumCols == 0 {
@@ -119,21 +119,21 @@ func SpMVCSRTiled(m *sparse.CSR, lineBytes int64, tileCols int32) func(emit func
 func SpMVCSC(m *sparse.CSR, lineBytes int64) func(emit func(int64)) {
 	// The CSC of m has the same array shapes as the CSR of mᵀ.
 	t := m.Transpose()
-	l := NewLayout(int64(t.NumRows), int64(t.NNZ()), 1, lineBytes)
+	yB, coB, rowB, valB, xB := NewLayout(int64(t.NumRows), int64(t.NNZ()), 1, lineBytes).lines()
 	return func(emit func(int64)) {
 		coS := newStream(emit)
 		rowS := newStream(emit)
 		valS := newStream(emit)
 		xS := newStream(emit)
 		for col := int64(0); col < int64(t.NumRows); col++ {
-			coS.access(l.line(l.RowOff + col*ElemBytes))
-			coS.access(l.line(l.RowOff + (col+1)*ElemBytes))
-			xS.access(l.line(l.X + col*ElemBytes))
+			coS.access(coB + col*ElemBytes/lineBytes)
+			coS.access(coB + (col+1)*ElemBytes/lineBytes)
+			xS.access(xB + col*ElemBytes/lineBytes)
 			start, end := int64(t.RowOffsets[col]), int64(t.RowOffsets[col+1])
 			for i := start; i < end; i++ {
-				rowS.access(l.line(l.Col + i*ElemBytes))
-				valS.access(l.line(l.Val + i*ElemBytes))
-				emit(l.line(l.Y + int64(t.ColIndices[i])*ElemBytes))
+				rowS.access(rowB + i*ElemBytes/lineBytes)
+				valS.access(valB + i*ElemBytes/lineBytes)
+				emit(yB + int64(t.ColIndices[i])*ElemBytes/lineBytes)
 			}
 		}
 	}

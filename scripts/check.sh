@@ -37,8 +37,8 @@ go test -run 'TestTableIVCoversRegistry' -count=1 ./internal/experiments
 echo "==> golden-file regression (serial and parallel must match the goldens)"
 go test -run 'TestGolden' -count=1 ./internal/experiments
 
-echo "==> RABBIT output pin: matrix, permutation, label and parent digests on every Small corpus matrix; per-vertex allocation regression"
-go test -run 'TestRabbitDigests|TestRabbitAllocsIndependentOfSize' -count=1 ./internal/core
+echo "==> RABBIT, RCM and RCM++ output pins: matrix, permutation, label and parent digests on every Small corpus matrix; RABBIT per-vertex and RCM++ per-component allocation regressions"
+go test -run 'TestRabbitDigests|TestRabbitAllocsIndependentOfSize|TestRCMDigests|TestRCMPPScratchIndependentOfComponents' -count=1 ./internal/core ./internal/reorder
 
 echo "==> simulator differential: fast vs reference, full corpus x all kernels"
 go test -run 'TestDifferential|TestRunnerImplReference' -count=1 ./internal/experiments
