@@ -1,20 +1,21 @@
 // Command reorderd serves matrix reordering over HTTP: clients POST a
 // MatrixMarket body (or reference a generated corpus matrix) to /reorder
-// and get back the permutation plus community-quality metrics. Results are
-// cached by (matrix digest × technique) so repeated requests amortize the
-// reordering cost, the regime in which the paper's Figure 9 shows
-// community reordering pays for itself.
+// and get back the permutation plus community-quality metrics. Every
+// result lives in one content-addressed job store keyed by (matrix digest
+// × technique), so repeated requests amortize the reordering cost, the
+// regime in which the paper's Figure 9 shows community reordering pays
+// for itself.
 //
-// Beyond the synchronous /reorder endpoint, the service exposes an async
-// job API (POST /jobs, GET /jobs/{id}) with content-addressed result
-// persistence, accepts a compact binary CSR upload format negotiated by
-// Content-Type, and can shard job ownership across a static peer ring
-// (-self/-peers) with transparent forwarding. docs/SERVING.md documents
-// the full surface.
+// Beside the synchronous /reorder endpoint, which waits on its job, the
+// service exposes the same jobs through an async API (POST /jobs,
+// GET /jobs/{id}), accepts a compact binary CSR upload format negotiated
+// by Content-Type, and can shard matrix ownership across a static peer
+// ring (-self/-peers), forwarding both endpoints to the owner.
+// docs/SERVING.md documents the full surface.
 //
 // Usage:
 //
-//	reorderd [-addr :8377] [-workers N] [-queue N] [-cache N] [-store N]
+//	reorderd [-addr :8377] [-workers N] [-queue N] [-store N]
 //	         [-max-body-bytes N] [-max-rows N] [-max-timeout D] [-preset small]
 //	         [-self URL -peers URL,URL,...]
 //
@@ -58,13 +59,12 @@ func run() error {
 		addr       = flag.String("addr", ":8377", "listen address")
 		workers    = flag.Int("workers", 0, "reordering worker count (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 64, "job queue depth before 429 load shedding")
-		cacheN     = flag.Int("cache", 256, "result cache entries (matrix digest x technique)")
 		maxBody    = flag.Int64("max-body-bytes", 64<<20, "maximum upload size before 413")
 		maxRows    = flag.Int("max-rows", 1<<22, "maximum declared rows/cols in an upload")
 		maxTimeout = flag.Duration("max-timeout", 2*time.Minute, "cap on per-request compute deadlines")
 		preset     = flag.String("preset", gen.Small.String(), "corpus preset for ?matrix= references (small|full)")
 		orderW     = flag.Int("order-workers", 1, "intra-job goroutines for parallel techniques (results identical at any count)")
-		storeN     = flag.Int("store", 1024, "async job store entries retained for GET /jobs/{id}")
+		storeN     = flag.Int("store", 1024, "completed jobs, and so results (matrix digest x technique), the job store retains")
 		self       = flag.String("self", "", "this peer's base URL in a sharded deployment (e.g. http://host:8377)")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs forming the consistent-hash ring (include -self)")
 		smoke      = flag.Bool("smoke", false, "run an in-process self-test and exit")
@@ -81,7 +81,6 @@ func run() error {
 	cfg := serve.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
-		CacheEntries: *cacheN,
 		StoreEntries: *storeN,
 		MaxBodyBytes: *maxBody,
 		MaxRows:      check.SafeInt32(*maxRows),
@@ -239,9 +238,10 @@ func runSmoke(cfg serve.Config) error {
 		}
 	}
 
-	// Async job API over the binary upload format: submit, poll to
-	// completion, and confirm a resubmission is a store hit with the same
-	// permutation.
+	// Async job API over the binary upload format: the synchronous RABBIT
+	// request above left its job in the store, so the first submission is
+	// already a store hit, done when polled, with the same permutation, and
+	// so is a resubmission.
 	var bin bytes.Buffer
 	if err := sparse.WriteBinaryCSR(&bin, m); err != nil {
 		return err
@@ -250,17 +250,11 @@ func runSmoke(cfg serve.Config) error {
 	if err != nil {
 		return fmt.Errorf("job submit: %w", err)
 	}
-	if status != http.StatusAccepted && status != http.StatusOK {
-		return fmt.Errorf("job submit: status %d", status)
+	if status != http.StatusOK || !job.StoreHit {
+		return fmt.Errorf("job submit after /reorder was not a store hit (status %d, store_hit %v)", status, job.StoreHit)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for job.Status == "queued" || job.Status == "running" {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job %s did not complete in time", job.JobID)
-		}
-		if job, err = getJob(base, job.JobID); err != nil {
-			return fmt.Errorf("job poll: %w", err)
-		}
+	if job, err = getJob(base, job.JobID); err != nil {
+		return fmt.Errorf("job poll: %w", err)
 	}
 	if job.Status != "done" || job.Result == nil {
 		return fmt.Errorf("job finished in state %q (error %q)", job.Status, job.Error)

@@ -58,10 +58,10 @@ func (r *Runner) multiDevOwner(md *MatrixData, tech reorder.Technique, pm *spars
 }
 
 // ownedTraceFor builds the device-attributed reference stream of the
-// kernel over the reordered matrix. Only the kernels the multidev family
-// sweeps have owned generators; the cluster and CSC variants do not.
-func (r *Runner) ownedTraceFor(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel, owner []int32) trace.OwnedTrace {
-	pm := md.M.PermuteSymmetric(r.Perm(md, tech))
+// kernel over pm, the matrix reordered by tech. Only the kernels the
+// multidev family sweeps have owned generators; the cluster and CSC
+// variants do not.
+func (r *Runner) ownedTraceFor(md *MatrixData, tech reorder.Technique, pm *sparse.CSR, k gpumodel.Kernel, owner []int32) trace.OwnedTrace {
 	line := r.cfg.Device.L2.LineBytes
 	switch k.Kind {
 	case gpumodel.SpMVCSR:
@@ -103,7 +103,7 @@ func (r *Runner) SimMultiDev(md *MatrixData, tech reorder.Technique, k gpumodel.
 			L2:      r.cfg.Device.L2.Split(devices),
 			Impl:    r.cfg.Impl,
 		}
-		s := multidev.Simulate(cfg, r.ownedTraceFor(md, tech, k, owner))
+		s := multidev.Simulate(cfg, r.ownedTraceFor(md, tech, pm, k, owner))
 		r.countUnit("mdev|" + md.Entry.Name + "|" + key)
 		md.mu.Lock()
 		md.mdsims[key] = s

@@ -8,10 +8,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// lruCache is a mutex-guarded LRU keyed by string. Values are opaque; the
-// capacity counts entries, matching the paper's amortization model where
-// what matters is whether a (matrix, technique) pair is resident, not its
-// byte size.
+// lruCache is a mutex-guarded LRU keyed by string, holding the per-digest
+// quality and feature values and the generated corpus matrices. Values are
+// opaque; the capacity counts entries, not bytes.
 type lruCache struct {
 	mu       sync.Mutex
 	capacity int

@@ -12,9 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/reorder"
-	"repro/internal/sparse"
 )
 
 // forwardHeader marks a request already routed by a peer. A forwarded
@@ -75,143 +72,39 @@ type jobResponse struct {
 	Result      *reorderResponse `json:"result,omitempty"`
 }
 
-// handleJobs serves POST /jobs: parse and digest the matrix, route to the
-// owning peer, and either return the existing job (store hit) or admit a
-// new one to the worker pool, responding immediately with the job ID.
+// handleJobs serves POST /jobs: admit the request, then either return the
+// existing job (store hit), which the submission now holds, or start a new
+// one, responding immediately with the job ID.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST a matrix to /jobs; poll GET /jobs/{id}"))
 		return
 	}
-	if s.closed.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, ErrShuttingDown)
+	// The job outlives this request, so only the advisor runs under it,
+	// within the compute budget.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxJobTime)
+	defer cancel()
+	a := s.admit(ctx, w, r)
+	if a == nil {
 		return
-	}
-	q := r.URL.Query()
-	techName := q.Get("technique")
-	if techName == "" {
-		techName = "RABBIT++"
-	}
-	auto := strings.EqualFold(techName, "auto")
-	var tech reorder.OrdererCtx
-	if !auto {
-		var err error
-		tech, err = s.cfg.Resolver(techName)
-		if err != nil && strings.Contains(techName, " ") {
-			// Tolerate an unencoded '+' (decoded to space), as /reorder does.
-			fixed := strings.ReplaceAll(techName, " ", "+")
-			if t2, err2 := s.cfg.Resolver(fixed); err2 == nil {
-				tech, err, techName = t2, nil, fixed
-			}
-		}
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-
-	m, _, raw, err := s.requestMatrix(w, r)
-	if err != nil {
-		status := http.StatusBadRequest
-		var maxErr *http.MaxBytesError
-		switch {
-		case errors.As(err, &maxErr), errors.Is(err, sparse.ErrTooLarge):
-			status = http.StatusRequestEntityTooLarge
-			s.metrics.sizeShed()
-		case errors.Is(err, errUnknownMatrix):
-			status = http.StatusNotFound
-		}
-		s.writeError(w, status, err)
-		return
-	}
-	if !m.IsSquare() {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: reordering requires a square matrix, got %dx%d", m.NumRows, m.NumCols))
-		return
-	}
-
-	digest := m.Digest()
-	digestHex := strings.TrimPrefix(digest, "sha256:")
-	if !s.ring.isSelf(digestHex) && r.Header.Get(forwardHeader) == "" {
-		s.forward(w, r, s.ring.owner(digestHex), raw)
-		return
-	}
-
-	if auto {
-		// The owner (not the entry peer) runs the advisor so the
-		// digest-keyed feature cache accumulates where the matrix lives.
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxJobTime)
-		rec, err := s.advise(ctx, m, digest)
-		cancel()
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		techName = rec.Best()
-		if tech, err = s.cfg.Resolver(techName); err != nil {
-			s.writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("serve: advisor chose unresolvable technique %q: %w", techName, err))
-			return
-		}
-		s.metrics.advisorRecommended(techName)
-	}
-
-	wantQuality := true
-	switch q.Get("quality") {
-	case "0", "false", "off", "none":
-		wantQuality = false
-	}
-	key := digest + "|" + techName
-	if !wantQuality {
-		key += "|noq"
 	}
 
 	s.metrics.jobSubmitted()
-	j, existed := s.store.getOrCreate(jobID(digestHex, techName, wantQuality), key, digest, techName, wantQuality)
+	j, existed, _ := s.store.acquire(a.id, a.digest, a.techName, a.quality, true)
 	if existed {
 		s.metrics.storeHit()
-		s.writeJob(w, http.StatusOK, j, true)
-		return
-	}
-	// A brand-new job whose result is already resident in the LRU (e.g.
-	// computed by the synchronous path) completes without touching a worker.
-	if v, ok := s.cache.get(key); ok {
-		s.metrics.cacheHit()
-		s.store.complete(j, v.(*reorderResult), nil)
-		s.writeJob(w, http.StatusOK, j, false)
+		s.writeJob(w, http.StatusOK, s.store.snapshot(j), true)
 		return
 	}
 	s.metrics.cacheMissed()
-	if err := s.pool.trySubmit(func() { s.runStoredJob(j, tech, m) }); err != nil {
-		s.store.remove(j.id)
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrSaturated):
-			status = http.StatusTooManyRequests
-			s.metrics.queueShed()
-		case errors.Is(err, ErrShuttingDown):
-			status = http.StatusServiceUnavailable
-		}
-		s.writeError(w, status, err)
+	// The 202 reports the job as admitted: a worker may finish it before
+	// the response is written, and the poll reports that.
+	queued := s.store.snapshot(j)
+	if err := s.start(j, a); err != nil {
+		s.fail(w, err)
 		return
 	}
-	s.writeJob(w, http.StatusAccepted, j, false)
-}
-
-// runStoredJob executes one async job on a pool worker. The context is
-// detached from any request — the job ID has already been handed to the
-// client, so the work must finish (bounded by MaxJobTime) even if every
-// poller disconnects.
-func (s *Server) runStoredJob(j *storedJob, tech reorder.OrdererCtx, m *sparse.CSR) {
-	//lint:allow ctxflow async jobs outlive the submitting request by design; MaxJobTime bounds them
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxJobTime)
-	defer cancel()
-	s.store.setRunning(j)
-	res, err := s.runJob(ctx, tech, m, j.digest, j.quality)
-	if err == nil {
-		s.cache.put(j.key, res)
-	}
-	s.store.complete(j, res, err)
+	s.writeJob(w, http.StatusAccepted, queued, false)
 }
 
 // handleJobGet serves GET /jobs/{id}, optionally long-polling: ?wait=MS
@@ -262,7 +155,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	s.writeJob(w, http.StatusOK, j, false)
+	s.writeJob(w, http.StatusOK, s.store.snapshot(j), false)
 }
 
 // handleRing serves GET /ring: the peer topology this instance routes by,
@@ -280,10 +173,9 @@ func (s *Server) handleRing(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// writeJob renders a job's current state. storeHit marks a POST that
-// found the job already resident.
-func (s *Server) writeJob(w http.ResponseWriter, status int, j *storedJob, storeHit bool) {
-	snap := s.store.snapshot(j)
+// writeJob renders a job's state. storeHit marks a POST that found the
+// job already resident.
+func (s *Server) writeJob(w http.ResponseWriter, status int, snap jobSnapshot, storeHit bool) {
 	resp := jobResponse{
 		JobID:       snap.ID,
 		Status:      snap.Status,
@@ -292,7 +184,9 @@ func (s *Server) writeJob(w http.ResponseWriter, status int, j *storedJob, store
 		Owner:       s.cfg.Self,
 		StoreHit:    storeHit,
 		CompletedMS: snap.CompletedMS,
-		Error:       snap.ErrMsg,
+	}
+	if snap.Err != nil {
+		resp.Error = snap.Err.Error()
 	}
 	if snap.Status == jobDone && snap.Res != nil {
 		resp.Result = &reorderResponse{

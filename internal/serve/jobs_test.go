@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -408,6 +409,28 @@ func TestThreePeerForwardingDeterminism(t *testing.T) {
 	// Entry peer recorded the hop.
 	if fwd := metricValue(t, client, tss[0].URL, "reorderd_forwards_total"); fwd < 1 {
 		t.Fatalf("reorderd_forwards_total on entry peer = %v, want >= 1", fwd)
+	}
+
+	// A /reorder of the same matrix through the entry peer is forwarded to
+	// the owner too, and is a hit on the job the submission left there.
+	resp, err = client.Post(tss[0].URL+"/reorder?technique=RABBIT%2B%2B", sparse.BinaryCSRContentType, bytes.NewReader(binBody(t, m)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("forwarded /reorder: %d %s", resp.StatusCode, raw)
+	}
+	if got := resp.Header.Get("X-Reorderd-Owner"); got != owner {
+		t.Fatalf("forwarded /reorder: X-Reorderd-Owner = %q, want %q", got, owner)
+	}
+	var hit reorderResponse
+	if err := json.Unmarshal(raw, &hit); err != nil {
+		t.Fatalf("bad forwarded /reorder JSON %q: %v", raw, err)
+	}
+	if !hit.Cached || !slices.Equal(hit.Permutation, done.Result.Permutation) {
+		t.Fatalf("forwarded /reorder: cached %v, permutation %v, want the job's %v", hit.Cached, hit.Permutation, done.Result.Permutation)
 	}
 
 	// A direct submission to the owner is a store hit on the same job.

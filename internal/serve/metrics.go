@@ -9,18 +9,48 @@ import (
 )
 
 // latencyBuckets is the number of power-of-two millisecond histogram
-// buckets: bucket i counts jobs with latency < 2^i ms, the last bucket is
-// the overflow (+Inf).
+// buckets: bucket i counts observations < 2^i ms, the last bucket is the
+// overflow (+Inf).
 const latencyBuckets = 18
+
+// histogram is a log2-millisecond latency histogram with its count and sum.
+type histogram struct {
+	count   int64
+	totalNs int64
+	// buckets[i] counts observations with elapsed < 2^i milliseconds; the
+	// final bucket counts everything slower.
+	buckets [latencyBuckets]int64
+}
+
+func (h *histogram) observe(elapsed time.Duration) {
+	h.count++
+	h.totalNs += elapsed.Nanoseconds()
+	ms := elapsed.Milliseconds()
+	b := 0
+	for b < latencyBuckets-1 && ms >= 1<<b {
+		b++
+	}
+	h.buckets[b]++
+}
+
+// render writes the cumulative <series>_ms_bucket lines; labels, when not
+// empty, are written before le and end in a comma.
+func (h *histogram) render(w io.Writer, series, labels string) {
+	cum := int64(0)
+	for b := 0; b < latencyBuckets; b++ {
+		cum += h.buckets[b]
+		le := fmt.Sprintf("%d", int64(1)<<b)
+		if b == latencyBuckets-1 {
+			le = "+Inf"
+		}
+		fmt.Fprintf(w, "%s_ms_bucket{%sle=%q} %d\n", series, labels, le, cum)
+	}
+}
 
 // techStats aggregates per-technique job outcomes.
 type techStats struct {
-	jobs    int64
-	errors  int64
-	totalNs int64
-	// buckets[i] counts jobs with elapsed < 2^i milliseconds; the final
-	// bucket counts everything slower.
-	buckets [latencyBuckets]int64
+	histogram
+	errors int64
 }
 
 // metrics is the service's instrumentation surface, rendered by /metrics
@@ -44,11 +74,7 @@ type metrics struct {
 	longPolls     int64 // GET /jobs/{id}?wait= requests that blocked
 
 	advisorRecs map[string]int64 // technique=auto recommendations by chosen technique
-	featCount   int64            // feature extractions actually performed (cache misses)
-	featTotalNs int64
-	// featBuckets[i] counts extractions with elapsed < 2^i ms, like the
-	// per-technique job histogram; the final bucket is the overflow.
-	featBuckets [latencyBuckets]int64
+	features    histogram        // feature extractions actually performed (cache misses)
 }
 
 func newMetrics() *metrics {
@@ -95,17 +121,10 @@ func (m *metrics) observeJob(technique string, elapsed time.Duration, failed boo
 		ts = &techStats{}
 		m.perTech[technique] = ts
 	}
-	ts.jobs++
+	ts.observe(elapsed)
 	if failed {
 		ts.errors++
 	}
-	ts.totalNs += elapsed.Nanoseconds()
-	ms := elapsed.Milliseconds()
-	b := 0
-	for b < latencyBuckets-1 && ms >= 1<<b {
-		b++
-	}
-	ts.buckets[b]++
 }
 
 // advisorRecommended records one technique=auto request resolving to the
@@ -120,15 +139,8 @@ func (m *metrics) advisorRecommended(technique string) {
 // only; digest-cache hits skip the extraction entirely).
 func (m *metrics) observeFeatures(elapsed time.Duration) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.featCount++
-	m.featTotalNs += elapsed.Nanoseconds()
-	ms := elapsed.Milliseconds()
-	b := 0
-	for b < latencyBuckets-1 && ms >= 1<<b {
-		b++
-	}
-	m.featBuckets[b]++
+	m.features.observe(elapsed)
+	m.mu.Unlock()
 }
 
 // snapshotCounters returns (hits, misses) for tests and the amortization
@@ -139,10 +151,10 @@ func (m *metrics) snapshotCounters() (hits, misses int64) {
 	return m.cacheHits, m.cacheMiss
 }
 
-// render writes the exposition text. queueDepth, cacheLen, and storeLen
-// are sampled by the caller at render time (they live in the pool, cache,
-// and job store, not here).
-func (m *metrics) render(w io.Writer, queueDepth, cacheLen, storeLen int) {
+// render writes the exposition text. queueDepth and storeLen are sampled
+// by the caller at render time (they live in the pool and the job store,
+// not here).
+func (m *metrics) render(w io.Writer, queueDepth, storeLen int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -166,7 +178,6 @@ func (m *metrics) render(w io.Writer, queueDepth, cacheLen, storeLen int) {
 
 	fmt.Fprintf(w, "reorderd_in_flight %d\n", m.inFlight)
 	fmt.Fprintf(w, "reorderd_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "reorderd_cache_entries %d\n", cacheLen)
 	fmt.Fprintf(w, "reorderd_cache_hits_total %d\n", m.cacheHits)
 	fmt.Fprintf(w, "reorderd_cache_misses_total %d\n", m.cacheMiss)
 	ratio := 0.0
@@ -192,18 +203,10 @@ func (m *metrics) render(w io.Writer, queueDepth, cacheLen, storeLen int) {
 	for _, name := range recs {
 		fmt.Fprintf(w, "reorderd_advisor_recommendations_total{technique=%q} %d\n", name, m.advisorRecs[name])
 	}
-	fmt.Fprintf(w, "reorderd_advisor_features_total %d\n", m.featCount)
-	fmt.Fprintf(w, "reorderd_advisor_features_seconds_sum %.6f\n", float64(m.featTotalNs)/1e9)
-	if m.featCount > 0 {
-		cum := int64(0)
-		for b := 0; b < latencyBuckets; b++ {
-			cum += m.featBuckets[b]
-			le := fmt.Sprintf("%d", int64(1)<<b)
-			if b == latencyBuckets-1 {
-				le = "+Inf"
-			}
-			fmt.Fprintf(w, "reorderd_advisor_features_ms_bucket{le=%q} %d\n", le, cum)
-		}
+	fmt.Fprintf(w, "reorderd_advisor_features_total %d\n", m.features.count)
+	fmt.Fprintf(w, "reorderd_advisor_features_seconds_sum %.6f\n", float64(m.features.totalNs)/1e9)
+	if m.features.count > 0 {
+		m.features.render(w, "reorderd_advisor_features", "")
 	}
 
 	techs := make([]string, 0, len(m.perTech))
@@ -213,17 +216,9 @@ func (m *metrics) render(w io.Writer, queueDepth, cacheLen, storeLen int) {
 	sort.Strings(techs)
 	for _, name := range techs {
 		ts := m.perTech[name]
-		fmt.Fprintf(w, "reorderd_jobs_total{technique=%q} %d\n", name, ts.jobs)
+		fmt.Fprintf(w, "reorderd_jobs_total{technique=%q} %d\n", name, ts.count)
 		fmt.Fprintf(w, "reorderd_job_errors_total{technique=%q} %d\n", name, ts.errors)
 		fmt.Fprintf(w, "reorderd_job_seconds_sum{technique=%q} %.6f\n", name, float64(ts.totalNs)/1e9)
-		cum := int64(0)
-		for b := 0; b < latencyBuckets; b++ {
-			cum += ts.buckets[b]
-			le := fmt.Sprintf("%d", int64(1)<<b)
-			if b == latencyBuckets-1 {
-				le = "+Inf"
-			}
-			fmt.Fprintf(w, "reorderd_job_ms_bucket{technique=%q,le=%q} %d\n", name, le, cum)
-		}
+		ts.render(w, "reorderd_job", fmt.Sprintf("technique=%q,", name))
 	}
 }

@@ -3,11 +3,12 @@
 // when a permutation is computed once and reused across many SpMV/SpMM
 // invocations; this service is that amortization made operational: a
 // bounded worker pool computes permutations under per-request deadlines,
-// a keyed LRU cache (matrix digest × technique) with singleflight dedup
-// makes every repeat request a cache hit, and queue-depth / request-size
-// load shedding keeps preprocessing latency under control (the concern
-// Asudeh et al. and the BOBA line of work raise about reordering in
-// production).
+// a content-addressed job store (matrix digest × technique) is the one
+// home of results, so every repeat request — synchronous /reorder or
+// async /jobs, from any client or peer — joins or hits the same job, and
+// queue-depth / request-size load shedding keeps preprocessing latency
+// under control (the concern Asudeh et al. and the BOBA line of work
+// raise about reordering in production).
 package serve
 
 import (
@@ -21,7 +22,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,8 +40,6 @@ type Config struct {
 	// QueueDepth bounds jobs admitted but not yet running; submissions
 	// beyond it are shed with 429 (default 64).
 	QueueDepth int
-	// CacheEntries bounds the (digest × technique) result LRU (default 256).
-	CacheEntries int
 	// MatrixCacheEntries bounds the generated-corpus matrix LRU (default 8).
 	MatrixCacheEntries int
 	// MaxBodyBytes bounds uploaded MatrixMarket bodies; larger uploads are
@@ -53,7 +51,7 @@ type Config struct {
 	// MaxEntries likewise bounds the declared entry count (default 1<<26).
 	MaxEntries int
 	// MaxJobTime caps both the client-requested deadline and the compute
-	// budget of a job once all its waiters are gone (default 2m).
+	// budget of a job, counted from when it starts running (default 2m).
 	MaxJobTime time.Duration
 	// Preset selects the scale of corpus-referenced matrices (default Small).
 	Preset gen.Preset
@@ -75,8 +73,10 @@ type Config struct {
 	// every peer sorts the list before building its ring, so all peers
 	// agree on ownership. Empty (or Self empty) means single-node.
 	Peers []string
-	// StoreEntries bounds completed jobs retained by the content-addressed
-	// job store (default 1024). Queued/running jobs are never evicted.
+	// StoreEntries bounds the completed jobs, and so the results, retained
+	// by the content-addressed job store (default 1024). Queued/running
+	// jobs are never evicted. The digest-keyed quality and feature caches
+	// take the same bound.
 	StoreEntries int
 	// ForwardClient issues cross-peer forwards (default: a dedicated
 	// http.Client; per-request deadlines come from the inbound request
@@ -90,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 256
 	}
 	if c.MatrixCacheEntries <= 0 {
 		c.MatrixCacheEntries = 8
@@ -154,33 +151,17 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	pool     *workerPool
-	cache    *lruCache // digest|technique → *reorderResult
 	quality  *lruCache // digest → *qualityStats
 	features *lruCache // digest → advisor.Features (technique=auto)
 	matrices *matrixCache
 	metrics  *metrics
-	store    *jobStore
-	ring     *ring // nil in single-node mode (every key is self-owned)
-
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	store    *jobStore // the one home of results
+	ring     *ring     // nil in single-node mode (every key is self-owned)
 
 	closed atomic.Bool
 }
 
-// flight is one in-progress (digest × technique) computation. Followers
-// piggyback by incrementing waiters; when the last waiter abandons (its
-// request context fired), the job context is cancelled so the worker stops
-// burning CPU on a result nobody wants.
-type flight struct {
-	done    chan struct{}
-	res     *reorderResult
-	err     error
-	waiters int
-	cancel  context.CancelFunc
-}
-
-// reorderResult is the cached outcome of one job.
+// reorderResult is the stored outcome of one job.
 type reorderResult struct {
 	Perm      sparse.Permutation
 	Rows      int32
@@ -232,13 +213,11 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		pool:     newWorkerPool(cfg.Workers, cfg.QueueDepth),
-		cache:    newLRUCache(cfg.CacheEntries),
-		quality:  newLRUCache(cfg.CacheEntries),
-		features: newLRUCache(cfg.CacheEntries),
+		quality:  newLRUCache(cfg.StoreEntries),
+		features: newLRUCache(cfg.StoreEntries),
 		matrices: newMatrixCache(cfg.MatrixCacheEntries),
 		metrics:  newMetrics(),
 		store:    newJobStore(cfg.StoreEntries),
-		flights:  make(map[string]*flight),
 	}
 	if len(cfg.Peers) > 1 {
 		s.ring = newRing(cfg.Self, cfg.Peers)
@@ -305,7 +284,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.metrics.render(w, s.pool.depth(), s.cache.len(), s.store.len())
+	s.metrics.render(w, s.pool.depth(), s.store.len())
 }
 
 func (s *Server) handleTechniques(w http.ResponseWriter, _ *http.Request) {
@@ -318,148 +297,191 @@ func (s *Server) handleTechniques(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"techniques": names, "pseudo": []string{"auto"}})
 }
 
-// handleReorder is the main endpoint: resolve the technique, obtain the
-// matrix (uploaded MatrixMarket body or corpus reference), then serve the
-// permutation from cache or compute it on the worker pool under the
-// request deadline.
+// handleReorder is the synchronous endpoint: admit the request, then
+// answer from its job — at once when the job is already done, otherwise
+// once it completes, as one of its waiters, under the request deadline.
 func (s *Server) handleReorder(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
-	if s.closed.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, ErrShuttingDown)
-		return
-	}
-	q := r.URL.Query()
-
-	techName := q.Get("technique")
-	if techName == "" {
-		techName = "RABBIT++"
-	}
-	// technique=auto defers resolution until the matrix is loaded: the
-	// advisor picks the concrete technique from the matrix's features.
-	auto := strings.EqualFold(techName, "auto")
-	var tech reorder.OrdererCtx
-	if !auto {
-		var err error
-		tech, err = s.cfg.Resolver(techName)
-		if err != nil && strings.Contains(techName, " ") {
-			// "+" in a query string decodes to a space and technique names
-			// never contain spaces, so undo the damage for clients that send
-			// technique=RABBIT++ without percent-encoding.
-			fixed := strings.ReplaceAll(techName, " ", "+")
-			if t2, err2 := s.cfg.Resolver(fixed); err2 == nil {
-				tech, err, techName = t2, nil, fixed
-			}
-		}
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-
-	ctx := r.Context()
 	timeout := s.cfg.MaxJobTime
-	if raw := q.Get("timeout_ms"); raw != "" {
+	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
 		ms, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || ms <= 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad timeout_ms %q", raw))
+			s.fail(w, badRequest{fmt.Errorf("serve: bad timeout_ms %q", raw)})
 			return
 		}
 		if d := time.Duration(ms) * time.Millisecond; d < timeout {
 			timeout = d
 		}
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
+	a := s.admit(ctx, w, r)
+	if a == nil {
+		return
+	}
 
-	m, matrixName, _, err := s.requestMatrix(w, r)
-	if err != nil {
-		status := http.StatusBadRequest
-		var maxErr *http.MaxBytesError
-		switch {
-		case errors.As(err, &maxErr), errors.Is(err, sparse.ErrTooLarge):
-			status = http.StatusRequestEntityTooLarge
-			s.metrics.sizeShed()
-		case errors.Is(err, errUnknownMatrix):
-			status = http.StatusNotFound
+	j, existed, cached := s.store.acquire(a.id, a.digest, a.techName, a.quality, false)
+	if cached {
+		s.metrics.cacheHit()
+	} else {
+		s.metrics.cacheMissed()
+		if existed {
+			s.metrics.dedupWait()
+		} else {
+			// A refusal completes j with its error, which the wait reports.
+			_ = s.start(j, a)
 		}
-		s.writeError(w, status, err)
-		return
-	}
-	if !m.IsSquare() {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: reordering requires a square matrix, got %dx%d", m.NumRows, m.NumCols))
-		return
-	}
-
-	// One SHA-256 pass per request: the digest keys the result cache, the
-	// feature cache and the quality cache alike.
-	digest := m.Digest()
-	var adv *advisorInfo
-	if auto {
-		rec, err := s.advise(ctx, m, digest)
-		if err != nil {
-			status := http.StatusInternalServerError
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				status = http.StatusGatewayTimeout
-			case errors.Is(err, context.Canceled):
-				status = http.StatusServiceUnavailable
-			}
-			s.writeError(w, status, err)
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+			s.store.leave(j)
+			s.fail(w, ctx.Err())
 			return
 		}
-		techName = rec.Best()
-		if tech, err = s.cfg.Resolver(techName); err != nil {
-			s.writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("serve: advisor chose unresolvable technique %q: %w", techName, err))
-			return
-		}
-		s.metrics.advisorRecommended(techName)
-		adv = &advisorInfo{Model: rec.Model, Confidence: rec.Confidence, Ranked: rec.Ranked}
 	}
-
-	wantQuality := true
-	switch q.Get("quality") {
-	case "0", "false", "off", "none":
-		wantQuality = false
-	}
-
-	key := digest + "|" + techName
-	if !wantQuality {
-		key += "|noq"
-	}
-	res, cached, err := s.compute(ctx, key, digest, tech, m, wantQuality)
-	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrSaturated):
-			status = http.StatusTooManyRequests
-			s.metrics.queueShed()
-		case errors.Is(err, ErrShuttingDown):
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			status = http.StatusServiceUnavailable
-		}
-		s.writeError(w, status, err)
+	snap := s.store.snapshot(j)
+	if snap.Err != nil {
+		s.fail(w, snap.Err)
 		return
 	}
-
 	s.writeJSON(w, http.StatusOK, reorderResponse{
-		Technique:   techName,
-		Matrix:      matrixName,
-		Rows:        res.Rows,
-		Cols:        res.Cols,
-		NNZ:         res.NNZ,
-		Digest:      res.Digest,
+		Technique:   a.techName,
+		Matrix:      a.matrix,
+		Rows:        snap.Res.Rows,
+		Cols:        snap.Res.Cols,
+		NNZ:         snap.Res.NNZ,
+		Digest:      snap.Res.Digest,
 		Cached:      cached,
 		ElapsedMS:   float64(time.Since(started)) / float64(time.Millisecond),
-		ComputeMS:   res.ComputeMS,
-		Permutation: res.Perm,
-		Quality:     res.Quality,
-		Advisor:     adv,
+		ComputeMS:   snap.Res.ComputeMS,
+		Permutation: snap.Res.Perm,
+		Quality:     snap.Res.Quality,
+		Advisor:     a.advisor,
 	})
+}
+
+// admission is a request that passed the front half both endpoints
+// share: its matrix, the concrete technique to run and its job's ID.
+type admission struct {
+	m        *sparse.CSR
+	matrix   string // corpus name; empty for uploads
+	digest   string
+	tech     reorder.OrdererCtx
+	techName string
+	quality  bool
+	id       string
+	advisor  *advisorInfo // technique=auto only
+}
+
+// admit is the front half of /reorder and POST /jobs: resolve the
+// technique, ingest the matrix, route it to its ring owner, run the
+// advisor for technique=auto under ctx, and derive the job ID. It returns
+// nil once it has written the response itself: an error, or the owner's
+// answer to a forward.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request) *admission {
+	if s.closed.Load() {
+		s.fail(w, ErrShuttingDown)
+		return nil
+	}
+	q := r.URL.Query()
+	a := &admission{techName: q.Get("technique"), quality: true}
+	if a.techName == "" {
+		a.techName = "RABBIT++"
+	}
+	// technique=auto defers resolution until the matrix is loaded: the
+	// advisor picks the concrete technique from the matrix's features.
+	auto := strings.EqualFold(a.techName, "auto")
+	if !auto {
+		var err error
+		a.tech, err = s.cfg.Resolver(a.techName)
+		if err != nil && strings.Contains(a.techName, " ") {
+			// "+" in a query string decodes to a space and technique names
+			// never contain spaces, so undo the damage for clients that send
+			// technique=RABBIT++ without percent-encoding.
+			fixed := strings.ReplaceAll(a.techName, " ", "+")
+			if t2, err2 := s.cfg.Resolver(fixed); err2 == nil {
+				a.tech, err, a.techName = t2, nil, fixed
+			}
+		}
+		if err != nil {
+			s.fail(w, badRequest{err})
+			return nil
+		}
+	}
+
+	m, name, raw, err := s.requestMatrix(w, r)
+	if err != nil {
+		s.fail(w, badRequest{err})
+		return nil
+	}
+	if !m.IsSquare() {
+		s.fail(w, badRequest{fmt.Errorf("serve: reordering requires a square matrix, got %dx%d", m.NumRows, m.NumCols)})
+		return nil
+	}
+	a.m, a.matrix = m, name
+
+	// One SHA-256 pass per request: the digest routes the request and keys
+	// the job store, the feature cache and the quality cache alike.
+	a.digest = m.Digest()
+	digestHex := strings.TrimPrefix(a.digest, "sha256:")
+	if !s.ring.isSelf(digestHex) && r.Header.Get(forwardHeader) == "" {
+		s.forward(w, r, s.ring.owner(digestHex), raw)
+		return nil
+	}
+
+	if auto {
+		// The owner (not the entry peer) runs the advisor so the
+		// digest-keyed feature cache accumulates where the matrix lives.
+		rec, err := s.advise(ctx, m, a.digest)
+		if err != nil {
+			s.fail(w, err)
+			return nil
+		}
+		a.techName = rec.Best()
+		if a.tech, err = s.cfg.Resolver(a.techName); err != nil {
+			s.fail(w, fmt.Errorf("serve: advisor chose unresolvable technique %q: %w", a.techName, err))
+			return nil
+		}
+		s.metrics.advisorRecommended(a.techName)
+		a.advisor = &advisorInfo{Model: rec.Model, Confidence: rec.Confidence, Ranked: rec.Ranked}
+	}
+
+	switch q.Get("quality") {
+	case "0", "false", "off", "none":
+		a.quality = false
+	}
+	a.id = jobID(digestHex, a.techName, a.quality)
+	return a
+}
+
+// badRequest marks an error the request itself caused; fail answers it
+// with 400 unless the wrapped error maps to a more specific status.
+type badRequest struct{ error }
+
+func (e badRequest) Unwrap() error { return e.error }
+
+// fail answers a failed request with the status its error maps to, the
+// one mapping every endpoint shares.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	var maxErr *http.MaxBytesError
+	switch {
+	case errors.As(err, &maxErr), errors.Is(err, sparse.ErrTooLarge):
+		status = http.StatusRequestEntityTooLarge
+		s.metrics.sizeShed()
+	case errors.Is(err, errUnknownMatrix):
+		status = http.StatusNotFound
+	case errors.As(err, new(badRequest)):
+		status = http.StatusBadRequest
+	case errors.Is(err, ErrSaturated):
+		status = http.StatusTooManyRequests
+		s.metrics.queueShed()
+	case errors.Is(err, ErrShuttingDown), errors.Is(err, context.Canceled):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusGatewayTimeout
+	}
+	s.writeError(w, status, err)
 }
 
 // advise returns the advisor's recommendation for the matrix, serving the
@@ -543,74 +565,25 @@ func uploadIsBinary(contentType string) bool {
 	return strings.EqualFold(strings.TrimSpace(mt), sparse.BinaryCSRContentType)
 }
 
-// compute serves the keyed result: LRU hit, singleflight piggyback on an
-// identical in-flight computation, or a fresh job on the worker pool. The
-// returned bool reports whether the result came from the cache.
-func (s *Server) compute(ctx context.Context, key, digest string, tech reorder.OrdererCtx, m *sparse.CSR, wantQuality bool) (*reorderResult, bool, error) {
-	if v, ok := s.cache.get(key); ok {
-		s.metrics.cacheHit()
-		return v.(*reorderResult), true, nil
-	}
-	s.metrics.cacheMissed()
-
-	s.flightMu.Lock()
-	if f, ok := s.flights[key]; ok {
-		f.waiters++
-		s.flightMu.Unlock()
-		s.metrics.dedupWait()
-		return s.await(ctx, f)
-	}
-	// The job context is detached from any single request: the job keeps
-	// running while at least one waiter remains interested, and is
-	// cancelled when the last one leaves or the compute budget expires.
-	//lint:allow ctxflow the job deliberately outlives the submitting request; refcounted cancel below
-	jobCtx, jobCancel := context.WithTimeout(context.Background(), s.cfg.MaxJobTime)
-	f := &flight{done: make(chan struct{}), waiters: 1, cancel: jobCancel}
-	s.flights[key] = f
-	s.flightMu.Unlock()
-
+// start runs j's computation on the worker pool. The pool refusing it
+// (429 when saturated, 503 when draining) drops j from the store and
+// completes it with the refusal, so every request that joined it in the
+// meantime sees the same error.
+func (s *Server) start(j *storedJob, a *admission) error {
 	err := s.pool.trySubmit(func() {
-		defer jobCancel()
-		res, jobErr := s.runJob(jobCtx, tech, m, digest, wantQuality)
-		if jobErr == nil {
-			s.cache.put(key, res)
-		}
-		s.flightMu.Lock()
-		f.res, f.err = res, jobErr
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		close(f.done)
+		defer j.cancel()
+		s.store.setRunning(j)
+		ctx, cancel := context.WithTimeout(j.ctx, s.cfg.MaxJobTime)
+		defer cancel()
+		res, err := s.runJob(ctx, a.tech, a.m, a.digest, a.quality)
+		s.store.complete(j, res, err)
 	})
 	if err != nil {
-		// Shed: fail this flight so any follower that joined between the
-		// map insert and this failure observes the same error.
-		s.flightMu.Lock()
-		f.err = err
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		jobCancel()
-		close(f.done)
-		return nil, false, err
+		j.cancel()
+		s.store.remove(j)
+		s.store.complete(j, nil, err)
 	}
-	return s.await(ctx, f)
-}
-
-// await blocks until the flight completes or the request context fires,
-// detaching (and cancelling the job when it was the last waiter) in the
-// latter case.
-func (s *Server) await(ctx context.Context, f *flight) (*reorderResult, bool, error) {
-	select {
-	case <-f.done:
-		return f.res, false, f.err
-	case <-ctx.Done():
-		s.flightMu.Lock()
-		f.waiters--
-		if f.waiters == 0 {
-			f.cancel()
-		}
-		s.flightMu.Unlock()
-		return nil, false, ctx.Err()
-	}
+	return err
 }
 
 // runJob executes one reordering on a pool worker: the technique's

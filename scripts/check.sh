@@ -67,8 +67,8 @@ go run ./cmd/reorderd -smoke
 echo "==> binary CSR wire-format gate (golden bytes, round trips, truncation corpus)"
 go test -race -run 'TestBinaryCSR' -count=1 ./internal/sparse
 
-echo "==> async job + ring gates under -race (lifecycle, long-poll, store hit, 3-peer forwarding determinism)"
-go test -race -run 'TestJob|TestRing|TestThreePeerForwardingDeterminism|TestReorderBinaryUpload' -count=1 ./internal/serve
+echo "==> async job + ring gates under -race (lifecycle, long-poll, store hit, /reorder and /jobs joining one job, held, failed and timed-out jobs, 3-peer forwarding of both endpoints)"
+go test -race -run 'TestJob|TestRing|TestThreePeerForwardingDeterminism|TestReorderBinaryUpload|TestReorderJoinsRunningJob|TestHeldJobOutlivesWaiters|TestTimedOutReorderLeavesNoEntry|TestHeldFailedJob' -count=1 ./internal/serve
 
 echo "==> loadgen smoke: 1-peer and 3-peer in-process rings (asserts store hits + cross-peer forwards)"
 go run ./cmd/loadgen -peers 1,3 -requests 32 -clients 4 -matrices 6 -nodes 128 -check >/dev/null
