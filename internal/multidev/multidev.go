@@ -6,10 +6,12 @@
 // device executes its rows' accesses against its own cachesim instance
 // (the flat L2 capacity divided K ways — constant silicon), and every
 // miss on a line homed on another device is classified as an
-// inter-device transfer. The reported per-device traffic, remote-traffic
-// fraction, and load imbalance answer the question the flat model
-// cannot: does community reordering still help once the matrix is
-// partitioned across executors?
+// inter-device transfer. The accesses come from the kernel's one trace
+// generator, the flat path's own, which announces each row before the
+// accesses it issues; the owner vector maps that row to its device. The
+// reported per-device traffic, remote-traffic fraction, and load
+// imbalance answer the question the flat model cannot: does community
+// reordering still help once the matrix is partitioned across executors?
 //
 // K = 1 is exactly the flat path: one simulator with the original
 // geometry (cachesim.Config.Split(1) is the identity), every line local,
@@ -151,11 +153,11 @@ func (s Stats) Imbalance() float64 {
 	return float64(s.MaxDeviceTrafficBytes()) / mean
 }
 
-// Simulate runs the device-attributed trace against K private caches:
-// each access goes to its executing device's cache, and a miss on a line
-// homed elsewhere counts as an inter-device transfer. Device IDs outside
-// [0, K) panic — owner vectors are produced by internal/partition, so a
-// violation is a programming error.
+// Simulate runs the kernel's generator against K private caches: each
+// access goes to the cache of the device that owns the row issuing it,
+// and a miss on a line homed elsewhere counts as an inter-device transfer.
+// Device IDs outside [0, K) panic — owner vectors are produced by
+// internal/partition, so a violation is a programming error.
 func Simulate(cfg Config, ot trace.OwnedTrace) Stats {
 	k := cfg.Devices
 	if k <= 0 {
@@ -166,10 +168,19 @@ func Simulate(cfg Config, ot trace.OwnedTrace) Stats {
 		sims[i] = cachesim.NewSimulator(cfg.L2, cfg.Impl)
 	}
 	out := Stats{Devices: make([]DeviceStats, k)}
-	ot.Trace(func(dev int32, line int64) {
-		hit := sims[dev].Access(line)
+	// Each announced row selects its owner's simulator and counters for
+	// the accesses that follow.
+	var (
+		dev int32
+		sim cachesim.Simulator
+		ds  *DeviceStats
+	)
+	ot.Stream(func(row int32) {
+		dev = ot.Owner[row]
+		sim, ds = sims[dev], &out.Devices[dev]
+	}, func(line int64) {
+		hit := sim.Access(line)
 		if ot.Home[line] != dev {
-			ds := &out.Devices[dev]
 			ds.RemoteAccesses++
 			if !hit {
 				ds.RemoteMisses++

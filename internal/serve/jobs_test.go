@@ -250,6 +250,9 @@ func TestJobSaturationRollback(t *testing.T) {
 	}
 
 	close(blk.release)
+	// The worker takes the second job once the first returns; only then
+	// has the one-slot queue room for the resubmission.
+	<-blk.started
 	status, job, raw := postJob(t, ts.Client(), ts.URL+"/jobs?technique=BLOCK&quality=0", shedBody, sparse.BinaryCSRContentType)
 	if status != http.StatusAccepted {
 		t.Fatalf("resubmit after shed: %d %s (a 200 here means the shed job leaked into the store)", status, raw)

@@ -203,9 +203,10 @@ func TestTimedOutReorderLeavesNoEntry(t *testing.T) {
 	}
 }
 
-// TestHeldFailedJob: a failed job a /jobs client holds stays in the store,
-// so a resubmission is a store hit reporting the failure; a /reorder for
-// the same key does not take the failure but replaces it with a fresh job.
+// TestHeldFailedJob: a failed job a /jobs client holds stays in the store
+// until the next request for its key, and a /jobs resubmission replaces it
+// with a fresh job, as a /reorder would: the failure is retried, not
+// replayed.
 func TestHeldFailedJob(t *testing.T) {
 	checkGoroutines(t)
 	ts, blk, release := newBlockingServer(t, Config{Workers: 2, MaxJobTime: 50 * time.Millisecond})
@@ -219,21 +220,30 @@ func TestHeldFailedJob(t *testing.T) {
 	if failed := awaitJob(t, ts.Client(), ts.URL, job.JobID); failed.Status != jobFailed || !strings.Contains(failed.Error, "deadline") {
 		t.Fatalf("job past MaxJobTime: %+v", failed)
 	}
-	status, again, raw := postJob(t, ts.Client(), ts.URL+blockJobs, binBody(t, m), sparse.BinaryCSRContentType)
-	if status != http.StatusOK || !again.StoreHit || again.Status != jobFailed || again.JobID != job.JobID {
-		t.Fatalf("resubmit: %d %s, want a store hit on the failed job", status, raw)
-	}
-
+	// Released before the retry, so the retry cannot outlive MaxJobTime
+	// on a slow host.
 	release()
-	rs, out, raw := doReorder(t, ts.Client(), reorderURL(ts.URL, blockParams), mmBody(t, m))
-	if rs != http.StatusOK || out.Cached {
-		t.Fatalf("/reorder of the failed key: status %d cached %v: %s", rs, out.Cached, raw)
+	status, again, raw := postJob(t, ts.Client(), ts.URL+blockJobs, binBody(t, m), sparse.BinaryCSRContentType)
+	if status != http.StatusAccepted || again.StoreHit || again.Status != jobQueued || again.JobID != job.JobID {
+		t.Fatalf("resubmit: %d %s, want a fresh queued job replacing the failure", status, raw)
+	}
+	if out := awaitJob(t, ts.Client(), ts.URL, again.JobID); out.Status != jobDone {
+		t.Fatalf("retried job: %+v", out)
 	}
 	if n := orderCalls(blk); n != 1 {
-		t.Fatalf("/reorder: %d computations entered OrderCtx, want 1", n)
+		t.Fatalf("retry: %d more computations entered OrderCtx, want 1 (2 in all)", n)
+	}
+	for series, want := range map[string]float64{
+		"reorderd_jobs_submitted_total": 2,
+		"reorderd_cache_misses_total":   2,
+		"reorderd_job_store_hits_total": 0,
+	} {
+		if got := metricValue(t, ts.Client(), ts.URL, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 	status, third, raw := postJob(t, ts.Client(), ts.URL+blockJobs, binBody(t, m), sparse.BinaryCSRContentType)
 	if status != http.StatusOK || !third.StoreHit || third.Status != jobDone {
-		t.Fatalf("/jobs after the replacement: %d %s, want a store hit on a done job", status, raw)
+		t.Fatalf("/jobs after the retry: %d %s, want a store hit on a done job", status, raw)
 	}
 }

@@ -62,7 +62,8 @@ type jobSnapshot struct {
 // client or forwarding peer. Completed jobs are retained LRU-bounded by
 // capacity; queued and running jobs are never evicted (the worker queue
 // depth bounds how many can exist). A failed job stays only while a
-// POST /jobs client holds it.
+// POST /jobs client holds it, and the next request for its key replaces
+// it.
 type jobStore struct {
 	mu       sync.Mutex
 	capacity int
@@ -82,19 +83,19 @@ func newJobStore(capacity int) *jobStore {
 	}
 }
 
-// acquire returns the job for id, creating it queued when absent. A holder
-// (POST /jobs) marks the job held and takes whatever it finds; a waiter
-// (/reorder) replaces a failed job and counts itself among the waiters of
-// an incomplete one. existed reports a job that was already resident,
-// finished one that had already completed when it was looked up.
+// acquire returns the job for id, creating it queued when absent or
+// failed: a holder (POST /jobs) and a waiter (/reorder) alike replace a
+// failed job. A holder marks the job held; a waiter counts itself among
+// the waiters of an incomplete one. existed reports a job that was already
+// resident, finished one that was already done when it was looked up.
 func (st *jobStore) acquire(id, digest, technique string, quality, hold bool) (j *storedJob, existed, finished bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if el, ok := st.byID[id]; ok {
 		j = el.Value.(*storedJob)
-		if hold || j.status != jobFailed {
+		if j.status != jobFailed {
 			st.order.MoveToFront(el)
-			finished = j.status == jobDone || j.status == jobFailed
+			finished = j.status == jobDone
 			j.held = j.held || hold
 			if !hold && !finished {
 				j.waiters++

@@ -56,7 +56,8 @@ func NewSpGEMMLayout(aRows, aNNZ, bRows, bNNZ, cNNZ, lineBytes int64) SpGEMMLayo
 // size (kernels.SpGEMMSymbolic's RowNNZ), needed to lay out and stream
 // the data-dependent C arrays.
 func SpGEMM(a, b *sparse.CSR, cRowNNZ []int32, lineBytes int64) func(emit func(int64)) {
-	return spgemmStream(a, b, cRowNNZ, nil, lineBytes)
+	l, cOff := spgemmLayout(a, b, cRowNNZ, lineBytes)
+	return flat(spgemmStream(a, b, l, cOff, nil))
 }
 
 // SpGEMMCluster returns the cluster-wise reference stream of C = A·B: the
@@ -69,13 +70,13 @@ func SpGEMMCluster(a, b *sparse.CSR, cRowNNZ []int32, tiles []community.Shard, l
 	if tiles == nil {
 		tiles = community.Shards(a.NumRows)
 	}
-	return spgemmStream(a, b, cRowNNZ, tiles, lineBytes)
+	l, cOff := spgemmLayout(a, b, cRowNNZ, lineBytes)
+	return flat(spgemmStream(a, b, l, cOff, tiles))
 }
 
-// spgemmStream is the shared generator: nil tiles means row-wise
-// (every row its own tile, with no dedup state needed because a CSR row's
-// column indices are already distinct).
-func spgemmStream(a, b *sparse.CSR, cRowNNZ []int32, tiles []community.Shard, lineBytes int64) func(emit func(int64)) {
+// spgemmLayout lays out C = A·B and returns it with C's row offsets, the
+// prefix sums of the symbolic per-row sizes.
+func spgemmLayout(a, b *sparse.CSR, cRowNNZ []int32, lineBytes int64) (SpGEMMLayout, []int64) {
 	if len(cRowNNZ) != int(a.NumRows) {
 		panic(fmt.Sprintf("trace: SpGEMM with %d C row sizes for %d rows", len(cRowNNZ), a.NumRows))
 	}
@@ -83,13 +84,20 @@ func spgemmStream(a, b *sparse.CSR, cRowNNZ []int32, tiles []community.Shard, li
 	for i, nnz := range cRowNNZ {
 		cOff[i+1] = cOff[i] + int64(nnz)
 	}
+	return NewSpGEMMLayout(int64(a.NumRows), int64(a.NNZ()), int64(b.NumRows), int64(b.NNZ()), cOff[a.NumRows], lineBytes), cOff
+}
+
+// spgemmStream is the shared generator over layout l: nil tiles means
+// row-wise (every row its own tile, with no dedup state needed because a
+// CSR row's column indices are already distinct).
+func spgemmStream(a, b *sparse.CSR, l SpGEMMLayout, cOff []int64, tiles []community.Shard) generator {
 	// Base line of every array: the bases are line-aligned, so element i
 	// lies on line base + i*ElemBytes/lineBytes.
-	l := NewSpGEMMLayout(int64(a.NumRows), int64(a.NNZ()), int64(b.NumRows), int64(b.NNZ()), cOff[a.NumRows], lineBytes)
+	lineBytes := l.LineBytes
 	aRoB, aColB, aValB := l.ARowOff/lineBytes, l.ACol/lineBytes, l.AVal/lineBytes
 	bRoB, bColB, bValB := l.BRowOff/lineBytes, l.BCol/lineBytes, l.BVal/lineBytes
 	cRoB, cColB, cValB := l.CRowOff/lineBytes, l.CCol/lineBytes, l.CVal/lineBytes
-	return func(emit func(int64)) {
+	return func(announce func(int32), emit func(int64)) {
 		aRoS := newStream(emit)
 		aColS := newStream(emit)
 		aValS := newStream(emit)
@@ -103,6 +111,9 @@ func spgemmStream(a, b *sparse.CSR, cRowNNZ []int32, tiles []community.Shard, li
 		}
 		tile := func(lo, hi int32, gen int64) {
 			for row := int64(lo); row < int64(hi); row++ {
+				if announce != nil {
+					announce(int32(row))
+				}
 				aRoS.access(aRoB + row*ElemBytes/lineBytes)
 				aRoS.access(aRoB + (row+1)*ElemBytes/lineBytes)
 				start, end := int64(a.RowOffsets[row]), int64(a.RowOffsets[row+1])
@@ -134,6 +145,9 @@ func spgemmStream(a, b *sparse.CSR, cRowNNZ []int32, tiles []community.Shard, li
 			}
 			// Tile accumulators spill: the tile's C rows stream out.
 			for row := int64(lo); row < int64(hi); row++ {
+				if announce != nil {
+					announce(int32(row))
+				}
 				cRoS.access(cRoB + row*ElemBytes/lineBytes)
 				cRoS.access(cRoB + (row+1)*ElemBytes/lineBytes)
 				for i := cOff[row]; i < cOff[row+1]; i++ {

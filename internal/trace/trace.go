@@ -98,17 +98,36 @@ func (s *stream) access(line int64) {
 	}
 }
 
+// generator is a kernel's reference stream with row announcements: before
+// the accesses that one step of the outer loop issues, it calls announce
+// with that step's matrix row (the nonzero's row for COO). Flat streams
+// pass a nil announce and see only emit; a multi-device consumer maps each
+// announced row through its owner vector (OwnedTrace).
+type generator = func(announce func(row int32), emit func(line int64))
+
+// flat drops a generator's row announcements.
+func flat(g generator) func(emit func(int64)) {
+	return func(emit func(int64)) { g(nil, emit) }
+}
+
 // SpMVCSR returns the reference stream of Algorithm 1 over the matrix:
 // rowOffsets, coords, values, and Y stream sequentially; X is dereferenced
 // per nonzero through the column index.
 func SpMVCSR(m *sparse.CSR, lineBytes int64) func(emit func(int64)) {
+	return flat(spmvCSR(m, lineBytes))
+}
+
+func spmvCSR(m *sparse.CSR, lineBytes int64) generator {
 	yB, roB, colB, valB, xB := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes).lines()
-	return func(emit func(int64)) {
+	return func(announce func(int32), emit func(int64)) {
 		roS := newStream(emit)
 		colS := newStream(emit)
 		valS := newStream(emit)
 		yS := newStream(emit)
 		for row := int64(0); row < int64(m.NumRows); row++ {
+			if announce != nil {
+				announce(int32(row))
+			}
 			roS.access(roB + row*ElemBytes/lineBytes)
 			roS.access(roB + (row+1)*ElemBytes/lineBytes)
 			start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
@@ -126,19 +145,26 @@ func SpMVCSR(m *sparse.CSR, lineBytes int64) func(emit func(int64)) {
 // triplet arrays stream; X is irregular per entry; Y follows the row index
 // (streaming when the COO is row-sorted, irregular otherwise).
 func SpMVCOO(c *sparse.COO, lineBytes int64) func(emit func(int64)) {
+	return flat(spmvCOO(c, lineBytes))
+}
+
+func spmvCOO(c *sparse.COO, lineBytes int64) generator {
 	yB, rowB, colB, valB, xB := NewLayoutCOO(int64(c.NumRows), int64(c.NNZ()), lineBytes).lines()
-	return func(emit func(int64)) {
+	return func(announce func(int32), emit func(int64)) {
 		rowS := newStream(emit)
 		colS := newStream(emit)
 		valS := newStream(emit)
 		yS := newStream(emit)
-		for k := range c.RowIdx {
+		for k, r := range c.RowIdx {
+			if announce != nil {
+				announce(r)
+			}
 			i := int64(k)
 			rowS.access(rowB + i*ElemBytes/lineBytes)
 			colS.access(colB + i*ElemBytes/lineBytes)
 			valS.access(valB + i*ElemBytes/lineBytes)
 			emit(xB + int64(c.ColIdx[k])*ElemBytes/lineBytes)
-			yS.access(yB + int64(c.RowIdx[k])*ElemBytes/lineBytes)
+			yS.access(yB + int64(r)*ElemBytes/lineBytes)
 		}
 	}
 }
@@ -148,17 +174,24 @@ func SpMVCOO(c *sparse.COO, lineBytes int64) func(emit func(int64)) {
 // the full k-element row of B (k·4 bytes, possibly spanning several
 // lines) — the irregular traffic that scales with k (Table IV).
 func SpMMCSR(m *sparse.CSR, k int64, lineBytes int64) func(emit func(int64)) {
+	return flat(spmmCSR(m, k, lineBytes))
+}
+
+func spmmCSR(m *sparse.CSR, k int64, lineBytes int64) generator {
 	if k < 1 {
 		panic(fmt.Sprintf("trace: SpMM with k = %d", k))
 	}
 	cB, roB, colB, valB, bB := NewLayout(int64(m.NumRows), int64(m.NNZ()), k, lineBytes).lines()
 	rowBytes := k * ElemBytes
-	return func(emit func(int64)) {
+	return func(announce func(int32), emit func(int64)) {
 		roS := newStream(emit)
 		colS := newStream(emit)
 		valS := newStream(emit)
 		cS := newStream(emit)
 		for row := int64(0); row < int64(m.NumRows); row++ {
+			if announce != nil {
+				announce(int32(row))
+			}
 			roS.access(roB + row*ElemBytes/lineBytes)
 			roS.access(roB + (row+1)*ElemBytes/lineBytes)
 			start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])

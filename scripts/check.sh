@@ -43,8 +43,8 @@ go test -run 'TestRabbitDigests|TestRabbitAllocsIndependentOfSize|TestRCMDigests
 echo "==> simulator differential: fast vs reference, full corpus x all kernels"
 go test -run 'TestDifferential|TestRunnerImplReference' -count=1 ./internal/experiments
 
-echo "==> multi-device differential: K=1 bit-identical to the flat L2 path"
-go test -run 'TestMultiDevFlatIdentity|TestOwnedMatchesUnowned' -count=1 ./internal/experiments ./internal/trace
+echo "==> multi-device differential: K=1 bit-identical to the flat L2 path; owned (device, line) streams and home maps pinned by digest"
+go test -run 'TestMultiDevFlatIdentity|TestOwnedDigests' -count=1 ./internal/experiments ./internal/trace
 
 echo "==> SpGEMM differential gate: all execution modes vs the dense int64 oracle; nnz(C) overflow and per-row allocation regressions"
 go test -run 'TestSpGEMMDifferentialOracle|TestSpGEMMRelabelingInvariance|TestSpGEMMStrategiesBitIdentical|TestSpGEMMOutputOverflow|TestSpGEMMAllocsIndependentOfRows' -count=1 ./internal/kernels
