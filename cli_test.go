@@ -8,6 +8,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cachesim"
+	"repro/internal/experiments"
+	"repro/internal/gpumodel"
+	"repro/internal/reorder"
+	"repro/internal/report"
 )
 
 // buildTool compiles one cmd/ binary into the test's temp dir once.
@@ -202,6 +208,7 @@ func TestCLIRectangularInput(t *testing.T) {
 	}
 	dir := t.TempDir()
 	spmvBin := buildTool(t, dir, "spmv")
+	cachesimBin := buildTool(t, dir, "cachesim")
 
 	rect := filepath.Join(dir, "rect.mtx")
 	content := "%%MatrixMarket matrix coordinate real general\n3 4 3\n1 2 1.0\n2 3 2.0\n3 4 0.5\n"
@@ -228,6 +235,65 @@ func TestCLIRectangularInput(t *testing.T) {
 		if !strings.Contains(string(got), want) {
 			t.Fatalf("diagnostic should contain %q, got:\n%s", want, got)
 		}
+	}
+
+	// cachesim reorders with every technique it runs, RABBIT among the
+	// defaults: it must refuse the file with status 1, not panic.
+	got, err = exec.Command(cachesimBin, "-in", rect).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("cachesim on a rectangular matrix: %v, want exit status 1\n%s", err, got)
+	}
+	for _, want := range []string{"3x4", "not square"} {
+		if !strings.Contains(string(got), want) {
+			t.Fatalf("cachesim diagnostic should contain %q, got:\n%s", want, got)
+		}
+	}
+}
+
+// TestCLICachesimCommunitySplit pins cmd/cachesim's community split to the
+// experiment Runner's: on the Small er-deg16 with cachesim's default 256
+// KiB L2, every row of `-devices 4 -partition community` must equal
+// Runner.SimMultiDev under PartCommunity rendered with the same report
+// helpers, so the CLI shows the numbers EXPERIMENTS.md defines (RABBIT
+// communities of the input, carried through each technique's
+// permutation).
+func TestCLICachesimCommunitySplit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short")
+	}
+	dir := t.TempDir()
+	mtxgen := buildTool(t, dir, "mtxgen")
+	cachesimBin := buildTool(t, dir, "cachesim")
+	runTool(t, mtxgen, "-out", dir, "-matrices", "er-deg16")
+	techs := []reorder.Technique{reorder.Random{Seed: 0xC0FFEE}, reorder.Rabbit{}, reorder.RabbitPP{}}
+	out := runTool(t, cachesimBin, "-in", filepath.Join(dir, "er-deg16.mtx"),
+		"-devices", "4", "-partition", "community", "-techniques", "RANDOM,RABBIT,RABBIT++")
+
+	cfg := experiments.SmallConfig()
+	cfg.Matrices = []string{"er-deg16"}
+	cfg.Device.L2 = cachesim.Config{CapacityBytes: 256 << 10, LineBytes: 128, Ways: 16}
+	r := experiments.NewRunner(cfg)
+	md, err := r.Matrix("er-deg16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := report.New("", "technique", "traffic", "hit-rate", "remote%", "imbalance", "max-dev")
+	for _, tech := range techs {
+		s := r.SimMultiDev(md, tech, experiments.SpMV, 4, experiments.PartCommunity)
+		want.Add(tech.Name(),
+			report.X(gpumodel.NormalizedTraffic(s.Flat(), experiments.SpMV, md.N, md.NNZ)),
+			report.Pct(s.Flat().HitRate()),
+			report.Pct(s.RemoteFraction()),
+			report.F(s.Imbalance()),
+			report.Bytes(s.MaxDeviceTrafficBytes()))
+	}
+	var b strings.Builder
+	if err := want.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, b.String()) {
+		t.Fatalf("cachesim community split differs from Runner.SimMultiDev\ncachesim:\n%s\nrunner:\n%s", out, b.String())
 	}
 }
 

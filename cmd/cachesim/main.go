@@ -9,18 +9,22 @@
 //	         [-impl fast|reference]
 //	         [-devices K] [-partition rowblock|metis|community]
 //
-// Techniques are reordered and simulated concurrently on a bounded worker
-// pool (-workers, default all CPUs); the table rows keep the -techniques
-// order regardless of completion order. -impl selects the simulator
-// implementation: the arena/streaming fast path (default) or the seed
-// reference implementation, which produces bit-identical numbers and
-// exists for differential checks.
+// Each row is one cell of the experiment Runner (internal/experiments) on
+// the input matrix: the same ordering, reference stream, partitioner and
+// simulator that produce the paper's tables. The cells run on the
+// Runner's bounded worker pool (-workers, default all CPUs); the table
+// rows keep the -techniques order regardless of completion order. -impl
+// selects the simulator implementation: the arena/streaming fast path
+// (default) or the seed reference implementation, which produces
+// bit-identical numbers and exists for differential checks.
 //
 // -devices K > 1 switches to the multi-device model: the L2 splits into K
 // private caches, rows are assigned to devices by -partition (over the
-// reordered matrix), and the table reports remote-traffic fraction and
-// per-device load imbalance instead of dead lines. Belady and the
-// spgemm-cluster kernel have no multi-device counterpart.
+// reordered matrix; community packs the input's RABBIT communities,
+// carried through each technique's permutation), and the table reports
+// remote-traffic fraction and per-device load imbalance instead of dead
+// lines. Belady and the spgemm-cluster kernel have no multi-device
+// counterpart.
 package main
 
 import (
@@ -28,20 +32,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/cachesim"
-	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/gen"
 	"repro/internal/gpumodel"
-	"repro/internal/kernels"
-	"repro/internal/multidev"
-	"repro/internal/partition"
 	"repro/internal/reorder"
 	"repro/internal/report"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -73,9 +72,6 @@ func run() error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
-	if *workers == 0 {
-		*workers = runtime.NumCPU()
-	}
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
@@ -105,7 +101,7 @@ func run() error {
 	}
 	if *devices > 1 {
 		switch *part {
-		case "rowblock", "metis", "community":
+		case experiments.PartRowBlock, experiments.PartMetis, experiments.PartCommunity:
 		default:
 			return fmt.Errorf("unknown partitioner %q (want rowblock, metis, or community)", *part)
 		}
@@ -126,22 +122,44 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	n, nnz := int64(m.NumRows), int64(m.NNZ())
-
-	// The SpGEMM kinds simulate C = M·M, so they need the product's
-	// symbolic shape: the work totals parameterize the analytic traffic
-	// model and trace bound (all permutation-invariant), and the
-	// per-technique traces need the permuted output row sizes.
-	if k.Kind == gpumodel.SpGEMMCSR || k.Kind == gpumodel.SpGEMMCSRCluster {
-		info, err := kernels.SpGEMMSymbolic(m, m)
+	if !m.IsSquare() {
+		return fmt.Errorf("every technique applies a symmetric permutation, but %s is %dx%d: %w",
+			*in, m.NumRows, m.NumCols, sparse.ErrNotSquare)
+	}
+	var ts []reorder.Technique
+	for _, name := range strings.Split(*techs, ",") {
+		t, err := reorder.ByName(strings.TrimSpace(name))
 		if err != nil {
-			return fmt.Errorf("%s kernel: %w", *kernel, err)
+			return err
 		}
-		k.Work = gpumodel.SpGEMMWork{Flops: info.Flops, NNZB: nnz, NNZC: info.NNZC}
+		ts = append(ts, t)
+	}
+
+	r := experiments.NewRunner(experiments.Config{
+		Device:  gpumodel.Device{L2: cfg},
+		Workers: *workers,
+		Impl:    simImpl,
+	})
+	md := r.Add(*in, m)
+	if k.Kind == gpumodel.SpGEMMCSR || k.Kind == gpumodel.SpGEMMCSRCluster {
+		// The traffic model and the Belady trace bound need the product's
+		// symbolic work terms.
+		k = md.SpGEMMKernel(k.Kind == gpumodel.SpGEMMCSRCluster)
+	}
+	entries := []gen.Entry{md.Entry}
+	units := experiments.SimUnits(entries, ts, k)
+	switch {
+	case *devices > 1:
+		units = experiments.MultiDevUnits(entries, ts, []int{*devices}, *part, k)
+	case *belady:
+		units = append(units, experiments.BeladyUnits(entries, ts, k)...)
+	}
+	if err := r.Prefetch(units); err != nil {
+		return err
 	}
 
 	cols := []string{"technique", "traffic", "hit-rate", "dead-lines"}
-	title := fmt.Sprintf("%s on %s (%d rows, %d nnz), L2 %dKB", k.String(), *in, n, nnz, *l2>>10)
+	title := fmt.Sprintf("%s on %s (%d rows, %d nnz), L2 %dKB", k.String(), *in, md.N, md.NNZ, *l2>>10)
 	if *devices > 1 {
 		cols = []string{"technique", "traffic", "hit-rate", "remote%", "imbalance", "max-dev"}
 		title = fmt.Sprintf("%s, %d devices (%s split)", title, *devices, *part)
@@ -150,110 +168,27 @@ func run() error {
 		cols = append(cols, "belady-traffic")
 	}
 	tb := report.New(title, cols...)
-
-	traceFor := func(pm *sparse.CSR) func(func(int64)) {
-		switch k.Kind {
-		case gpumodel.SpMVCOO:
-			return trace.SpMVCOO(sparse.CSRToCOO(pm), *line)
-		case gpumodel.SpMMCSR:
-			return trace.SpMMCSR(pm, k.K, *line)
-		case gpumodel.SpGEMMCSR, gpumodel.SpGEMMCSRCluster:
-			pinfo, err := kernels.SpGEMMSymbolic(pm, pm)
-			if err != nil {
-				// The square check above already passed; a failure here
-				// would be a programming error, not bad input.
-				panic(err)
-			}
-			if k.Kind == gpumodel.SpGEMMCSRCluster {
-				return trace.SpGEMMCluster(pm, pm, pinfo.RowNNZ, nil, *line)
-			}
-			return trace.SpGEMM(pm, pm, pinfo.RowNNZ, *line)
-		default:
-			return trace.SpMVCSR(pm, *line)
+	for _, t := range ts {
+		if *devices > 1 {
+			s := r.SimMultiDev(md, t, k, *devices, *part)
+			tb.Add(t.Name(),
+				report.X(gpumodel.NormalizedTraffic(s.Flat(), k, md.N, md.NNZ)),
+				report.Pct(s.Flat().HitRate()),
+				report.Pct(s.RemoteFraction()),
+				report.F(s.Imbalance()),
+				report.Bytes(s.MaxDeviceTrafficBytes()))
+			continue
 		}
-	}
-	// ownerFor assigns each row of the reordered matrix to a device.
-	ownerFor := func(pm *sparse.CSR) []int32 {
-		switch *part {
-		case "metis":
-			return partition.Partition(pm, partition.Options{Parts: int32(*devices)})
-		case "community":
-			return partition.FromCommunities(core.Rabbit(pm).Communities, int32(*devices))
-		default:
-			return partition.RowBlocks(pm.NumRows, int32(*devices))
+		s := r.SimLRU(md, t, k)
+		row := []string{
+			t.Name(),
+			report.X(gpumodel.NormalizedTraffic(s, k, md.N, md.NNZ)),
+			report.Pct(s.HitRate()),
+			report.Pct(s.DeadLineFraction()),
 		}
-	}
-	ownedTraceFor := func(pm *sparse.CSR, owner []int32) trace.OwnedTrace {
-		switch k.Kind {
-		case gpumodel.SpMVCOO:
-			return trace.SpMVCOOOwned(sparse.CSRToCOO(pm), owner, *line)
-		case gpumodel.SpMMCSR:
-			return trace.SpMMCSROwned(pm, k.K, owner, *line)
-		case gpumodel.SpGEMMCSR:
-			pinfo, err := kernels.SpGEMMSymbolic(pm, pm)
-			if err != nil {
-				panic(err)
-			}
-			return trace.SpGEMMOwned(pm, pm, pinfo.RowNNZ, owner, *line)
-		default:
-			return trace.SpMVCSROwned(pm, owner, *line)
+		if *belady {
+			row = append(row, report.X(gpumodel.NormalizedTraffic(r.SimBelady(md, t, k), k, md.N, md.NNZ)))
 		}
-	}
-	// Reorder and simulate the techniques concurrently; rows land in
-	// their -techniques slot so output order is deterministic.
-	names := strings.Split(*techs, ",")
-	rows := make([][]string, len(names))
-	errs := make([]error, len(names))
-	sem := make(chan struct{}, *workers)
-	var wg sync.WaitGroup
-	for i, name := range names {
-		i, name := i, name
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			t, err := reorder.ByName(strings.TrimSpace(name))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			pm := m.PermuteSymmetric(t.Order(m))
-			if *devices > 1 {
-				mcfg := multidev.Config{Devices: *devices, L2: cfg.Split(*devices), Impl: simImpl}
-				mds := multidev.Simulate(mcfg, ownedTraceFor(pm, ownerFor(pm)))
-				rows[i] = []string{
-					t.Name(),
-					report.X(gpumodel.NormalizedTraffic(mds.Flat(), k, n, nnz)),
-					report.Pct(mds.Flat().HitRate()),
-					report.Pct(mds.RemoteFraction()),
-					report.F(mds.Imbalance()),
-					report.Bytes(mds.MaxDeviceTrafficBytes()),
-				}
-				return
-			}
-			s := cachesim.SimulateLRUWith(cfg, simImpl, traceFor(pm))
-			row := []string{
-				t.Name(),
-				report.X(gpumodel.NormalizedTraffic(s, k, n, nnz)),
-				report.Pct(s.HitRate()),
-				report.Pct(s.DeadLineFraction()),
-			}
-			if *belady {
-				hint := k.TraceAccessUpperBound(n, nnz, *line)
-				bs := cachesim.SimulateBeladyFunc(cfg, simImpl, traceFor(pm), hint)
-				row = append(row, report.X(gpumodel.NormalizedTraffic(bs, k, n, nnz)))
-			}
-			rows[i] = row
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, row := range rows {
 		tb.Add(row...)
 	}
 	tb.Note("traffic is normalized to the kernel's analytic compulsory traffic")

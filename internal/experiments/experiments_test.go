@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/gpumodel"
 	"repro/internal/reorder"
 )
@@ -70,6 +71,34 @@ func TestPermCachingSharesRabbit(t *testing.T) {
 	pp := r.Perm(md, reorder.RabbitPP{})
 	if err := pp.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunnerAdd checks that a matrix handed to the Runner runs the same
+// cells as the corpus matrix it copies, under its own unit keys, and that
+// registering it counts no unit.
+func TestRunnerAdd(t *testing.T) {
+	r := testRunner(t, "er-deg16")
+	src, err := r.Matrix("er-deg16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := r.Add("copy.mtx", src.M)
+	if got, err := r.Matrix("copy.mtx"); err != nil || got != md {
+		t.Fatalf("Matrix(copy.mtx) = %p, %v; want the added %p", got, err, md)
+	}
+	if err := r.Prefetch(SimUnits([]gen.Entry{md.Entry}, []reorder.Technique{reorder.Rabbit{}}, SpMV)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.SimLRU(md, reorder.Rabbit{}, SpMV), r.SimLRU(src, reorder.Rabbit{}, SpMV); got != want {
+		t.Fatalf("added matrix simulates to %+v, corpus matrix to %+v", got, want)
+	}
+	counts := r.UnitCounts()
+	if n, ok := counts["matrix|copy.mtx"]; ok {
+		t.Errorf("Add counted a matrix unit (%d)", n)
+	}
+	if n := counts["lru|copy.mtx|RABBIT|SpMV-CSR"]; n != 1 {
+		t.Errorf("added matrix's LRU unit ran %d times, want 1", n)
 	}
 }
 

@@ -82,20 +82,8 @@ func (r *Runner) ownedTraceFor(md *MatrixData, tech reorder.Technique, pm *spars
 // exactly like SimLRU. The per-device geometry is the configured flat L2
 // split K ways (constant silicon), so K=1 is the flat path bit for bit.
 func (r *Runner) SimMultiDev(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel, devices int, part string) multidev.Stats {
-	key := fmt.Sprintf("%s|%s|K%d|%s", tech.Name(), k.String(), devices, part)
-	md.mu.Lock()
-	s, ok := md.mdsims[key]
-	md.mu.Unlock()
-	if ok {
-		return s
-	}
-	r.flight.do(md.Entry.Name+"|mdev|"+key, func() {
-		md.mu.Lock()
-		_, done := md.mdsims[key]
-		md.mu.Unlock()
-		if done {
-			return
-		}
+	key := fmt.Sprintf("mdev|%s|%s|%s|K%d|%s", md.Entry.Name, tech.Name(), k.String(), devices, part)
+	return memoize(&r.memo, key, func() multidev.Stats {
 		pm := md.M.PermuteSymmetric(r.Perm(md, tech))
 		owner := r.multiDevOwner(md, tech, pm, devices, part)
 		cfg := multidev.Config{
@@ -104,17 +92,10 @@ func (r *Runner) SimMultiDev(md *MatrixData, tech reorder.Technique, k gpumodel.
 			Impl:    r.cfg.Impl,
 		}
 		s := multidev.Simulate(cfg, r.ownedTraceFor(md, tech, pm, k, owner))
-		r.countUnit("mdev|" + md.Entry.Name + "|" + key)
-		md.mu.Lock()
-		md.mdsims[key] = s
-		md.mu.Unlock()
-		r.progress("multidev  %-24s %-16s %-12s K=%-3d %s remote=%s", md.Entry.Name, tech.Name(), k.String(),
+		r.ran(key, "multidev  %-24s %-16s %-12s K=%-3d %s remote=%s", md.Entry.Name, tech.Name(), k.String(),
 			devices, part, report.Pct(s.RemoteFraction()))
+		return s
 	})
-	md.mu.Lock()
-	s = md.mdsims[key]
-	md.mu.Unlock()
-	return s
 }
 
 // MultiDevTable sweeps the full reorder registry across device counts for

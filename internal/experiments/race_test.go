@@ -2,17 +2,20 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/reorder"
 )
 
-// TestRunnerConcurrentAccess drives the Runner's caches from many
-// goroutines at once: concurrent Matrix lookups of the same name,
-// concurrent Perm computations for several techniques, and concurrent
-// traffic queries. Under -race this exercises the mutex discipline around
-// MatrixData.perms/sims and the once-guarded RABBIT result.
+// TestRunnerConcurrentAccess drives every kind of the Runner's memo from
+// many goroutines at once: concurrent Matrix lookups of the same name,
+// Perm computations for several techniques, and LRU, Belady and K=4
+// multi-device (rowblock and community) simulations, with two callers per
+// technique on the same keys. Under -race this exercises the memo's
+// per-key sync.Once and the once-guarded RABBIT result; afterwards every
+// unit must have executed exactly once.
 func TestRunnerConcurrentAccess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs cache simulations; skipped in -short")
@@ -44,6 +47,13 @@ func TestRunnerConcurrentAccess(t *testing.T) {
 				return
 			}
 			_ = r.NormTraffic(md, tech, SpMV)
+			_ = r.SimBelady(md, tech, SpMV)
+			for _, part := range []string{PartRowBlock, PartCommunity} {
+				if s := r.SimMultiDev(md, tech, SpMV, 4, part); len(s.Devices) != 4 {
+					errs[c] = fmt.Errorf("%s K=4 %s: %d devices", tech.Name(), part, len(s.Devices))
+					return
+				}
+			}
 		}(c)
 	}
 	wg.Wait()
@@ -51,5 +61,21 @@ func TestRunnerConcurrentAccess(t *testing.T) {
 		if err != nil {
 			t.Fatalf("caller %d: %v", c, err)
 		}
+	}
+
+	var belady, mdev int
+	for key, n := range r.UnitCounts() {
+		if n != 1 {
+			t.Errorf("unit %s executed %d times, want exactly 1", key, n)
+		}
+		switch {
+		case strings.HasPrefix(key, "belady|"):
+			belady++
+		case strings.HasPrefix(key, "mdev|"):
+			mdev++
+		}
+	}
+	if belady != len(techs) || mdev != 2*len(techs) {
+		t.Errorf("recorded %d belady and %d mdev units, want %d and %d", belady, mdev, len(techs), 2*len(techs))
 	}
 }

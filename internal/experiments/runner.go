@@ -9,10 +9,11 @@
 // expensive intermediates (RABBIT's detection, permutations, cache
 // simulations) so the full suite shares work across experiments. The
 // scheduler (scheduler.go) fans the (matrix × technique × kernel) units
-// each figure needs across a bounded worker pool; every cache is guarded
-// by per-key in-flight dedup, so the units execute exactly once no matter
-// how many figures request them concurrently, and each figure aggregates
-// its table serially in corpus order from the warm caches.
+// each figure needs across a bounded worker pool; one memo holds every
+// unit's result under its unit key with one sync.Once per key, so the
+// units execute exactly once no matter how many figures request them
+// concurrently, and each figure aggregates its table serially in corpus
+// order from the warm memo.
 //
 //repro:deterministic
 package experiments
@@ -30,7 +31,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/gpumodel"
 	"repro/internal/kernels"
-	"repro/internal/multidev"
 	"repro/internal/reorder"
 	"repro/internal/sparse"
 	"repro/internal/trace"
@@ -77,7 +77,8 @@ const InsularityThreshold = 0.95
 
 // MatrixData bundles one corpus matrix with its cached intermediates.
 type MatrixData struct {
-	// Entry is the corpus entry this matrix was generated from.
+	// Entry is the corpus entry this matrix was generated from (only its
+	// Name is set for a matrix registered through Runner.Add).
 	Entry gen.Entry
 	// M is the generated matrix in CSR form.
 	M *sparse.CSR
@@ -94,15 +95,10 @@ type MatrixData struct {
 	// SpGEMMInfo in spgemm.go.
 	spgemmOnce sync.Once
 	spgemm     kernels.SpGEMMInfo
+}
 
-	// mu guards the cache maps only; it is never held across a
-	// reordering or simulation — the Runner's flightGroup provides the
-	// per-key in-flight exclusion instead.
-	mu      sync.Mutex
-	perms   map[string]sparse.Permutation
-	sims    map[string]cachesim.Stats
-	beladys map[string]cachesim.Stats
-	mdsims  map[string]multidev.Stats
+func newMatrixData(entry gen.Entry, m *sparse.CSR) *MatrixData {
+	return &MatrixData{Entry: entry, M: m, N: int64(m.NumRows), NNZ: int64(m.NNZ())}
 }
 
 // Rabbit returns the cached RABBIT detection result.
@@ -133,13 +129,9 @@ type Runner struct {
 	// slot while it runs. Unit bodies never re-acquire, so the pool
 	// cannot deadlock on itself.
 	sem chan struct{}
-	// flight dedupes in-flight cache fills per key, so concurrent
-	// figures requesting the same unit wait for one execution instead
-	// of redoing it.
-	flight flightGroup
-
-	mu   sync.Mutex
-	data map[string]*MatrixData
+	// memo holds every unit's result under its UnitCounts key: matrices,
+	// permutations, and the LRU, Belady and multi-device simulations.
+	memo memo
 
 	progressMu sync.Mutex
 
@@ -156,7 +148,7 @@ func NewRunner(cfg Config) *Runner {
 	return &Runner{
 		cfg:        cfg,
 		sem:        make(chan struct{}, workers),
-		data:       make(map[string]*MatrixData),
+		memo:       memo{cells: make(map[string]*memoCell)},
 		unitCounts: make(map[string]int),
 	}
 }
@@ -186,47 +178,53 @@ func (r *Runner) Entries() []gen.Entry {
 	return out
 }
 
-// Matrix returns (generating on first use) the named corpus matrix.
-// Concurrent callers of the same name share one generation.
+// matrixCell is the memo's value for a "matrix|" key: an unknown name
+// caches its error like any other result.
+type matrixCell struct {
+	md  *MatrixData
+	err error
+}
+
+// Matrix returns the matrix Add registered under name, or generates the
+// named corpus matrix on first use. Concurrent callers of the same name
+// share one generation.
 func (r *Runner) Matrix(name string) (*MatrixData, error) {
-	r.mu.Lock()
-	md, ok := r.data[name]
-	r.mu.Unlock()
-	if ok {
-		return md, nil
-	}
-	entry, err := gen.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	r.flight.do("matrix|"+name, func() {
-		r.mu.Lock()
-		_, done := r.data[name]
-		r.mu.Unlock()
-		if done {
-			return
+	key := "matrix|" + name
+	c := memoize(&r.memo, key, func() matrixCell {
+		entry, err := gen.ByName(name)
+		if err != nil {
+			return matrixCell{err: err}
 		}
-		m := entry.Generate(r.cfg.Preset)
-		d := &MatrixData{
-			Entry:   entry,
-			M:       m,
-			N:       int64(m.NumRows),
-			NNZ:     int64(m.NNZ()),
-			perms:   make(map[string]sparse.Permutation),
-			sims:    make(map[string]cachesim.Stats),
-			beladys: make(map[string]cachesim.Stats),
-			mdsims:  make(map[string]multidev.Stats),
-		}
-		r.countUnit("matrix|" + name)
-		r.mu.Lock()
-		r.data[name] = d
-		r.mu.Unlock()
-		r.progress("generated %-24s %8d rows %10d nnz", name, d.N, d.NNZ)
+		md := newMatrixData(entry, entry.Generate(r.cfg.Preset))
+		r.ran(key, "generated %-24s %8d rows %10d nnz", name, md.N, md.NNZ)
+		return matrixCell{md: md}
 	})
-	r.mu.Lock()
-	md = r.data[name]
-	r.mu.Unlock()
-	return md, nil
+	return c.md, c.err
+}
+
+// Add registers m, which must be square, under name, so that Matrix,
+// Prefetch and every simulation run on a matrix the corpus does not
+// generate (cmd/cachesim's input). Its units run and count like a
+// corpus matrix's; the registration itself counts no unit. Call Add
+// before any other use of name: a name already cached keeps what it
+// holds.
+func (r *Runner) Add(name string, m *sparse.CSR) *MatrixData {
+	if !m.IsSquare() {
+		panic(fmt.Sprintf("experiments: Add(%q): %v", name, sparse.ErrNotSquare))
+	}
+	return memoize(&r.memo, "matrix|"+name, func() matrixCell {
+		return matrixCell{md: newMatrixData(gen.Entry{Name: name}, m)}
+	}).md
+}
+
+// ran records one execution of the unit at key and reports its progress
+// line. Every fill calls it from inside its memo cell's sync.Once, so
+// each key counts exactly once per Runner.
+func (r *Runner) ran(key, format string, args ...interface{}) {
+	r.countMu.Lock()
+	r.unitCounts[key]++
+	r.countMu.Unlock()
+	r.progress(format, args...)
 }
 
 func (r *Runner) progress(format string, args ...interface{}) {
@@ -236,14 +234,6 @@ func (r *Runner) progress(format string, args ...interface{}) {
 	r.progressMu.Lock()
 	fmt.Fprintf(r.cfg.Progress, format+"\n", args...)
 	r.progressMu.Unlock()
-}
-
-// countUnit records one actual execution of an expensive unit; the
-// scheduler's dedup guarantees each key counts exactly once per Runner.
-func (r *Runner) countUnit(key string) {
-	r.countMu.Lock()
-	r.unitCounts[key]++
-	r.countMu.Unlock()
 }
 
 // UnitCounts returns a snapshot of how many times each expensive unit
@@ -262,20 +252,8 @@ func (r *Runner) UnitCounts() map[string]int {
 // Perm returns the cached permutation of the technique on the matrix.
 // RABBIT-derived techniques share the underlying community detection.
 func (r *Runner) Perm(md *MatrixData, tech reorder.Technique) sparse.Permutation {
-	name := tech.Name()
-	md.mu.Lock()
-	p, ok := md.perms[name]
-	md.mu.Unlock()
-	if ok {
-		return p
-	}
-	r.flight.do(md.Entry.Name+"|perm|"+name, func() {
-		md.mu.Lock()
-		_, done := md.perms[name]
-		md.mu.Unlock()
-		if done {
-			return
-		}
+	key := "perm|" + md.Entry.Name + "|" + tech.Name()
+	return memoize(&r.memo, key, func() sparse.Permutation {
 		var p sparse.Permutation
 		if derive, ok := reorder.FromRabbit(tech); ok {
 			p = derive(md.M, md.Rabbit())
@@ -283,80 +261,35 @@ func (r *Runner) Perm(md *MatrixData, tech reorder.Technique) sparse.Permutation
 			p = tech.Order(md.M)
 		}
 		check.AssertPermutation(p)
-		r.countUnit("perm|" + md.Entry.Name + "|" + name)
-		md.mu.Lock()
-		md.perms[name] = p
-		md.mu.Unlock()
-		r.progress("ordered   %-24s %s", md.Entry.Name, name)
+		r.ran(key, "ordered   %-24s %s", md.Entry.Name, tech.Name())
+		return p
 	})
-	md.mu.Lock()
-	p = md.perms[name]
-	md.mu.Unlock()
-	return p
 }
 
 // SimLRU simulates the kernel on the reordered matrix through the device
 // L2 with LRU replacement, caching by (technique, kernel).
 func (r *Runner) SimLRU(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel) cachesim.Stats {
-	key := tech.Name() + "|" + k.String()
-	md.mu.Lock()
-	s, ok := md.sims[key]
-	md.mu.Unlock()
-	if ok {
-		return s
-	}
-	r.flight.do(md.Entry.Name+"|lru|"+key, func() {
-		md.mu.Lock()
-		_, done := md.sims[key]
-		md.mu.Unlock()
-		if done {
-			return
-		}
+	key := "lru|" + md.Entry.Name + "|" + tech.Name() + "|" + k.String()
+	return memoize(&r.memo, key, func() cachesim.Stats {
 		s := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, r.traceFor(md, tech, k))
-		r.countUnit("lru|" + md.Entry.Name + "|" + key)
-		md.mu.Lock()
-		md.sims[key] = s
-		md.mu.Unlock()
-		r.progress("simulated %-24s %-16s %-12s traffic=%.2fx", md.Entry.Name, tech.Name(), k.String(),
+		r.ran(key, "simulated %-24s %-16s %-12s traffic=%.2fx", md.Entry.Name, tech.Name(), k.String(),
 			gpumodel.NormalizedTraffic(s, k, md.N, md.NNZ))
+		return s
 	})
-	md.mu.Lock()
-	s = md.sims[key]
-	md.mu.Unlock()
-	return s
 }
 
 // SimBelady simulates the kernel under Belady-optimal replacement,
 // caching by (technique, kernel) exactly like SimLRU, so concurrent
 // figures share one trace recording and one simulation per combination.
 func (r *Runner) SimBelady(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel) cachesim.Stats {
-	key := tech.Name() + "|" + k.String()
-	md.mu.Lock()
-	s, ok := md.beladys[key]
-	md.mu.Unlock()
-	if ok {
-		return s
-	}
-	r.flight.do(md.Entry.Name+"|belady|"+key, func() {
-		md.mu.Lock()
-		_, done := md.beladys[key]
-		md.mu.Unlock()
-		if done {
-			return
-		}
+	key := "belady|" + md.Entry.Name + "|" + tech.Name() + "|" + k.String()
+	return memoize(&r.memo, key, func() cachesim.Stats {
 		hint := k.TraceAccessUpperBound(md.N, md.NNZ, r.cfg.Device.L2.LineBytes)
 		s := cachesim.SimulateBeladyFunc(r.cfg.Device.L2, r.cfg.Impl, r.traceFor(md, tech, k), hint)
-		r.countUnit("belady|" + md.Entry.Name + "|" + key)
-		md.mu.Lock()
-		md.beladys[key] = s
-		md.mu.Unlock()
-		r.progress("belady    %-24s %-16s %-12s traffic=%.2fx", md.Entry.Name, tech.Name(), k.String(),
+		r.ran(key, "belady    %-24s %-16s %-12s traffic=%.2fx", md.Entry.Name, tech.Name(), k.String(),
 			gpumodel.NormalizedTraffic(s, k, md.N, md.NNZ))
+		return s
 	})
-	md.mu.Lock()
-	s = md.beladys[key]
-	md.mu.Unlock()
-	return s
 }
 
 // traceFor builds the reference stream of the kernel over the reordered

@@ -10,10 +10,10 @@ import (
 
 // The scheduler turns each figure's nested matrix/technique/kernel loops
 // into independent units executed by a bounded worker pool shared across
-// the whole Runner. Units are deduplicated singleflight-style against the
-// Runner's caches, so concurrent figures (or repeated prefetches) never
+// the whole Runner. Every unit's result lives in the Runner's memo under
+// its unit key, so concurrent figures (or repeated prefetches) never
 // redo a generation, reordering, or simulation; each figure then
-// aggregates in corpus order against warm caches, keeping its table
+// aggregates in corpus order against the warm memo, keeping its table
 // byte-identical to the serial run regardless of completion order.
 
 // UnitKind selects how much of the pipeline a Unit warms.
@@ -115,51 +115,17 @@ func MultiDevUnits(entries []gen.Entry, techs []reorder.Technique, devices []int
 }
 
 // Prefetch executes the units on the Runner's worker pool and blocks
-// until all complete, returning the first error. Work already cached or
-// in flight (submitted by a concurrent figure) is not redone. After a
-// successful Prefetch, reading the same units through Matrix/Perm/
-// SimLRU/SimBelady is a pure cache hit, so callers can aggregate serially
-// in corpus order at no cost.
+// until all complete, returning the first error in unit order. Work
+// already cached or in flight (submitted by a concurrent figure) is not
+// redone. After a successful Prefetch, reading the same units through
+// Matrix/Perm/SimLRU/SimBelady/SimMultiDev is a pure cache hit, so callers
+// can aggregate serially in corpus order at no cost.
 func (r *Runner) Prefetch(units []Unit) error {
-	if r.Workers() == 1 {
-		// Inline execution: one worker gains nothing from the pool, and on
-		// a single-CPU host the goroutine + channel hops per unit cost real
-		// time (BenchmarkSerialPathOverhead pins the bypass at <5% over a
-		// bare loop). Every unit still runs — same warm-cache postcondition
-		// as the pool path.
-		var first error
-		for _, u := range units {
-			if err := r.runUnit(u); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(units))
-	for i, u := range units {
-		i, u := i, u
-		wg.Add(1)
-		r.sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-r.sem }()
-			errs[i] = r.runUnit(u)
-		}()
-	}
-	wg.Wait()
-	// First error in unit order, not completion order: the same failing
-	// corpus reports the same error no matter how the pool interleaves.
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.fanOut(len(units), func(i int) error { return r.runUnit(units[i]) })
 }
 
-// runUnit drives one unit through the cache-backed accessors; dedup with
-// concurrent identical units happens inside them.
+// runUnit drives one unit through the memoized accessors; concurrent
+// identical units share one execution inside them.
 func (r *Runner) runUnit(u Unit) error {
 	md, err := r.Matrix(u.Matrix)
 	if err != nil {
@@ -186,46 +152,16 @@ func (r *Runner) runUnit(u Unit) error {
 // forNames, or forEntries (pool slots do not nest).
 func forNames[T any](r *Runner, names []string, fn func(md *MatrixData) (T, error)) ([]T, error) {
 	out := make([]T, len(names))
-	errs := make([]error, len(names))
-	if r.Workers() == 1 {
-		// Same inline bypass as Prefetch: no goroutines when there is no
-		// parallelism to buy.
-		for i, name := range names {
-			md, err := r.Matrix(name)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			out[i], errs[i] = fn(md)
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	for i, name := range names {
-		i, name := i, name
-		wg.Add(1)
-		r.sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-r.sem }()
-			md, err := r.Matrix(name)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out[i], errs[i] = fn(md)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := r.fanOut(len(names), func(i int) error {
+		md, err := r.Matrix(names[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
+		out[i], err = fn(md)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -241,42 +177,63 @@ func forEntries[T any](r *Runner, fn func(md *MatrixData) (T, error)) ([]T, erro
 	return forNames(r, names, fn)
 }
 
-// flightGroup deduplicates in-flight work by key: the first caller of a
-// key runs fn while later callers of the same key block until it
-// completes. Unlike a lock held across the computation, only callers of
-// the same key wait; different keys proceed in parallel.
-type flightGroup struct {
+// fanOut runs fn(0) … fn(n-1), each holding one worker-pool slot, and
+// returns the first error in index order, not completion order: the same
+// failing corpus reports the same error no matter how the pool
+// interleaves. A one-worker Runner runs them inline instead: one worker
+// gains nothing from the pool, and on a single-CPU host the goroutine +
+// channel hops per call cost real time (BenchmarkSerialPathOverhead
+// measures the bypass against a bare loop).
+func (r *Runner) fanOut(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	if r.Workers() == 1 {
+		for i := range errs {
+			errs[i] = fn(i)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			r.sem <- struct{}{}
+			go func() {
+				defer wg.Done()
+				defer func() { <-r.sem }()
+				errs[i] = fn(i)
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// memo caches one result per unit key. Each key has its own sync.Once,
+// so a fill runs exactly once however many goroutines ask for the key:
+// later callers wait for that run and read its result, while callers of
+// different keys never wait on each other.
+type memo struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	cells map[string]*memoCell
 }
 
-type flightCall struct {
-	done chan struct{}
+type memoCell struct {
+	once sync.Once
+	val  any
 }
 
-// do runs fn under the key's flight. It returns true when this caller
-// executed fn (the leader) and false when it waited for another caller's
-// completed execution. fn must publish its result to the relevant cache
-// before returning, so followers (and late arrivals) read it from there.
-func (g *flightGroup) do(key string, fn func()) bool {
-	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
+// memoize returns the result cached under key, running fill on first use.
+func memoize[T any](m *memo, key string, fill func() T) T {
+	m.mu.Lock()
+	c, ok := m.cells[key]
+	if !ok {
+		c = new(memoCell)
+		m.cells[key] = c
 	}
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		return false
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		delete(g.calls, key)
-		g.mu.Unlock()
-		close(c.done)
-	}()
-	fn()
-	return true
+	m.mu.Unlock()
+	c.once.Do(func() { c.val = fill() })
+	return c.val.(T)
 }
