@@ -127,6 +127,27 @@ func TestCLIErrors(t *testing.T) {
 	if err := exec.Command(reorderBin, "-in", bad, "-out", filepath.Join(dir, "o.mtx")).Run(); err == nil {
 		t.Fatal("garbage matrix accepted")
 	}
+
+	// A misspelled -matrices name is an error naming it, not a smaller
+	// corpus; a space after a comma is not part of a name.
+	mtxgen := buildTool(t, dir, "mtxgen")
+	experimentsBin := buildTool(t, dir, "experiments")
+	advisorBin := buildTool(t, dir, "advisor")
+	for _, args := range [][]string{
+		{mtxgen, "-out", filepath.Join(dir, "gen"), "-matrices", "typo"},
+		{experimentsBin, "-corpus", "small", "-matrices", "er-deg16, typo", "-run", "corr"},
+		{advisorBin, "train", "-matrices", "er-deg16,typo"},
+		{advisorBin, "eval", "-matrices", "typo"},
+	} {
+		out, err := exec.Command(args[0], args[1:]...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), `"typo"`) {
+			t.Fatalf("%s %q: err=%v, want a failure naming \"typo\":\n%s", filepath.Base(args[0]), args[1:], err, out)
+		}
+	}
+	out := runTool(t, experimentsBin, "-corpus", "small", "-matrices", "soc-tight-2, er-deg16", "-run", "device")
+	if !strings.Contains(out, "matrices=2") {
+		t.Fatalf("experiments with a spaced -matrices list:\n%s", out)
+	}
 }
 
 // TestCLISpGEMM drives the spgemm binary: row-wise and cluster-wise

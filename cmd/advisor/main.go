@@ -89,7 +89,7 @@ func (mf matrixFlags) load() (*sparse.CSR, string, error) {
 		}
 		return m, *mf.in, nil
 	case *mf.matrix != "":
-		preset, err := parsePreset(*mf.corpus)
+		preset, err := gen.ParsePreset(*mf.corpus)
 		if err != nil {
 			return nil, "", err
 		}
@@ -100,17 +100,6 @@ func (mf matrixFlags) load() (*sparse.CSR, string, error) {
 		return e.Generate(preset), e.Name, nil
 	default:
 		return nil, "", fmt.Errorf("one of -in or -matrix is required")
-	}
-}
-
-func parsePreset(s string) (gen.Preset, error) {
-	switch s {
-	case "small":
-		return gen.Small, nil
-	case "full":
-		return gen.Full, nil
-	default:
-		return 0, fmt.Errorf("unknown corpus %q (want small or full)", s)
 	}
 }
 
@@ -209,7 +198,7 @@ func (df datasetFlags) load() ([]advisor.Sample, error) {
 		defer f.Close()
 		return advisor.ReadDataset(bufio.NewReader(f))
 	}
-	preset, err := parsePreset(*df.corpus)
+	preset, err := gen.ParsePreset(*df.corpus)
 	if err != nil {
 		return nil, err
 	}
@@ -217,8 +206,8 @@ func (df datasetFlags) load() ([]advisor.Sample, error) {
 	if preset == gen.Full {
 		cfg = experiments.FullConfig()
 	}
-	if *df.matrices != "" {
-		cfg.Matrices = strings.Split(*df.matrices, ",")
+	if cfg.Matrices, err = gen.ParseMatrices(*df.matrices); err != nil {
+		return nil, err
 	}
 	cfg.Workers = *df.workers
 	if *df.verbose {

@@ -61,16 +61,16 @@ func run() error {
 		return nil
 	}
 
-	cfg := experiments.FullConfig()
-	switch *corpus {
-	case "full":
-	case "small":
-		cfg = experiments.SmallConfig()
-	default:
-		return fmt.Errorf("unknown corpus %q (want small or full)", *corpus)
+	preset, err := gen.ParsePreset(*corpus)
+	if err != nil {
+		return err
 	}
-	if *matrices != "" {
-		cfg.Matrices = strings.Split(*matrices, ",")
+	cfg := experiments.FullConfig()
+	if preset == gen.Small {
+		cfg = experiments.SmallConfig()
+	}
+	if cfg.Matrices, err = gen.ParseMatrices(*matrices); err != nil {
+		return err
 	}
 	if *verbose {
 		cfg.Progress = os.Stderr

@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 
 	"repro/internal/gen"
 	"repro/internal/sparse"
@@ -33,25 +33,19 @@ func run() error {
 	if *out == "" {
 		return fmt.Errorf("-out is required")
 	}
-	preset := gen.Small
-	switch *corpus {
-	case "small":
-	case "full":
-		preset = gen.Full
-	default:
-		return fmt.Errorf("unknown corpus %q", *corpus)
+	preset, err := gen.ParsePreset(*corpus)
+	if err != nil {
+		return err
 	}
-	want := map[string]bool{}
-	for _, n := range strings.Split(*matrices, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			want[n] = true
-		}
+	names, err := gen.ParseMatrices(*matrices)
+	if err != nil {
+		return err
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
 	for _, e := range gen.Corpus() {
-		if len(want) > 0 && !want[e.Name] {
+		if names != nil && !slices.Contains(names, e.Name) {
 			continue
 		}
 		m := e.Generate(preset)

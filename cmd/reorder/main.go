@@ -46,7 +46,7 @@ func run() error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("-in and -out are required")
 	}
-	t, err := reorder.ByName(*tech)
+	t, err := reorder.ByNameCtx(*tech)
 	if err != nil {
 		return err
 	}

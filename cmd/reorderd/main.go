@@ -71,7 +71,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	p, err := presetByName(*preset)
+	p, err := gen.ParsePreset(*preset)
 	if err != nil {
 		return err
 	}
@@ -103,16 +103,6 @@ func run() error {
 		return runSmoke(cfg)
 	}
 	return runServer(*addr, cfg)
-}
-
-func presetByName(name string) (gen.Preset, error) {
-	switch name {
-	case gen.Small.String():
-		return gen.Small, nil
-	case gen.Full.String():
-		return gen.Full, nil
-	}
-	return gen.Small, fmt.Errorf("unknown preset %q (want %q or %q)", name, gen.Small, gen.Full)
 }
 
 // runServer serves until SIGINT/SIGTERM, then drains: stop accepting,

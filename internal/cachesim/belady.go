@@ -103,27 +103,11 @@ func SimulateBelady(cfg Config, trace []int64) Stats {
 }
 
 // RecordTrace materializes a streaming trace into a flat slice for the
-// reference Belady simulation. Prefer RecordTraceSized when the caller can
-// estimate the access count (e.g. from gpumodel.Kernel.TraceAccessUpperBound
-// on CSR.NNZ()): without a hint the slice grows by append doubling, which
-// transiently holds up to 2× the final recording.
+// reference Belady simulation. The slice grows by append doubling, so it
+// transiently holds up to 2× the final recording; the streaming path
+// (RecordTraceChunked) never copies recorded data.
 func RecordTrace(trace func(emit func(line int64))) []int64 {
-	return RecordTraceSized(trace, 0)
-}
-
-// RecordTraceSized is RecordTrace with a capacity hint (expected number of
-// accesses). The hint is clamped to [0, 1<<27] entries (1 GB of int64s) so
-// an overflowed or hostile estimate cannot demand an absurd up-front
-// allocation; recordings beyond the clamp simply resume append growth.
-func RecordTraceSized(trace func(emit func(line int64)), sizeHint int64) []int64 {
-	const maxHint = 1 << 27
-	if sizeHint < 0 {
-		sizeHint = 0
-	}
-	if sizeHint > maxHint {
-		sizeHint = maxHint
-	}
-	out := make([]int64, 0, sizeHint)
+	var out []int64
 	trace(func(line int64) { out = append(out, line) })
 	return out
 }

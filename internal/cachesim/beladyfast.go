@@ -21,29 +21,13 @@ const traceChunkBits = 16
 const traceChunk = 1 << traceChunkBits
 
 // Trace is a chunked, append-only recording of cache-line IDs — the
-// streaming Belady input. Unlike RecordTrace's flat slice it never
-// reallocates recorded data (chunks are fixed-size), so peak memory is the
-// recording itself plus one chunk, not the 2× transient of append doubling.
+// streaming Belady input. A zero Trace is an empty recording. Unlike
+// RecordTrace's flat slice it never reallocates recorded data (chunks are
+// fixed-size), so peak memory is the recording itself plus one chunk, not
+// the 2× transient of append doubling.
 type Trace struct {
 	chunks [][]int64
 	n      int64
-}
-
-// NewTrace returns an empty recording. sizeHint is the expected number of
-// accesses (0 is always safe); it pre-sizes the chunk index only — chunk
-// payloads are allocated as the recording grows, so over-estimates cost
-// eight bytes per missing chunk, not a giant flat array.
-func NewTrace(sizeHint int64) *Trace {
-	t := &Trace{}
-	if sizeHint > 0 {
-		const maxHintChunks = 1 << 20 // index pre-size cap: 8 MB of pointers
-		hintChunks := sizeHint>>traceChunkBits + 1
-		if hintChunks > maxHintChunks {
-			hintChunks = maxHintChunks
-		}
-		t.chunks = make([][]int64, 0, hintChunks)
-	}
-	return t
 }
 
 // Emit appends one line-granular access; it is the recording end of the
@@ -67,10 +51,9 @@ func (t *Trace) At(i int64) int64 {
 	return t.chunks[i>>traceChunkBits][i&(traceChunk-1)]
 }
 
-// RecordTraceChunked drives the trace callback into a chunked recording
-// sized by sizeHint (expected access count, 0 when unknown).
-func RecordTraceChunked(trace func(emit func(line int64)), sizeHint int64) *Trace {
-	t := NewTrace(sizeHint)
+// RecordTraceChunked drives the trace callback into a chunked recording.
+func RecordTraceChunked(trace func(emit func(line int64))) *Trace {
+	t := &Trace{}
 	trace(t.Emit)
 	return t
 }

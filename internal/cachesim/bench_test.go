@@ -76,7 +76,7 @@ func BenchmarkBelady(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			SimulateBeladyTrace(benchCfg, RecordTraceChunked(replay, int64(len(trace))))
+			SimulateBeladyTrace(benchCfg, RecordTraceChunked(replay))
 		}
 	})
 	b.Run("reference", func(b *testing.B) {

@@ -61,7 +61,7 @@ func TestFastBeladyMatchesReferenceRandom(t *testing.T) {
 		}
 		for _, cfg := range diffCfgs {
 			ref := SimulateBelady(cfg, trace)
-			fast := SimulateBeladyTrace(cfg, RecordTraceChunked(replay(trace), int64(len(trace))))
+			fast := SimulateBeladyTrace(cfg, RecordTraceChunked(replay(trace)))
 			if ref != fast {
 				t.Logf("cfg %+v: reference %+v != fast %+v", cfg, ref, fast)
 				return false
@@ -135,7 +135,7 @@ func TestFastLRURejectsOutOfRangeLines(t *testing.T) {
 func TestTraceChunkingBoundaries(t *testing.T) {
 	// Exercise Len/At across a chunk boundary and exact-multiple lengths.
 	for _, n := range []int64{0, 1, traceChunk - 1, traceChunk, traceChunk + 1, 2*traceChunk + 7} {
-		tr := NewTrace(n)
+		var tr Trace
 		for i := int64(0); i < n; i++ {
 			tr.Emit(i * 3)
 		}
@@ -165,7 +165,7 @@ func TestBeladyTraceChunkBoundaryDifferential(t *testing.T) {
 	}
 	cfg := Config{CapacityBytes: 8192, LineBytes: 64, Ways: 4}
 	ref := SimulateBelady(cfg, flat)
-	fast := SimulateBeladyTrace(cfg, RecordTraceChunked(replay(flat), n))
+	fast := SimulateBeladyTrace(cfg, RecordTraceChunked(replay(flat)))
 	if ref != fast {
 		t.Fatalf("cross-chunk stats diverged: reference %+v fast %+v", ref, fast)
 	}
@@ -174,8 +174,8 @@ func TestBeladyTraceChunkBoundaryDifferential(t *testing.T) {
 func TestSimulateBeladyFuncImpls(t *testing.T) {
 	trace := replay([]int64{0, 1, 0, 2, 0, 1, 5, 9, 5, 0})
 	cfg := Config{CapacityBytes: 128, LineBytes: 64, Ways: 2}
-	ref := SimulateBeladyFunc(cfg, ImplReference, trace, 10)
-	fast := SimulateBeladyFunc(cfg, ImplFast, trace, 10)
+	ref := SimulateBeladyFunc(cfg, ImplReference, trace)
+	fast := SimulateBeladyFunc(cfg, ImplFast, trace)
 	if ref != fast {
 		t.Fatalf("SimulateBeladyFunc impls diverged: %+v vs %+v", ref, fast)
 	}
@@ -196,17 +196,6 @@ func TestParseImpl(t *testing.T) {
 	}
 	if _, err := ParseImpl("plru"); err == nil {
 		t.Fatal("ParseImpl accepted an unknown impl")
-	}
-}
-
-func TestRecordTraceSizedClamp(t *testing.T) {
-	// Negative and absurd hints must not panic or over-allocate; the
-	// recording itself must be unaffected.
-	for _, hint := range []int64{-5, 0, 3, 1 << 40} {
-		got := RecordTraceSized(replay([]int64{4, 2, 4}), hint)
-		if len(got) != 3 || got[0] != 4 || got[1] != 2 || got[2] != 4 {
-			t.Fatalf("hint %d: recording = %v", hint, got)
-		}
 	}
 }
 
@@ -241,7 +230,7 @@ func FuzzLRUFastVsReference(f *testing.F) {
 			t.Fatalf("LRU stats diverged on cfg %+v:\nreference %+v\nfast      %+v", cfg, ref, fast)
 		}
 		bref := SimulateBelady(cfg, trace)
-		bfast := SimulateBeladyTrace(cfg, RecordTraceChunked(replay(trace), int64(len(trace))))
+		bfast := SimulateBeladyTrace(cfg, RecordTraceChunked(replay(trace)))
 		if bref != bfast {
 			t.Fatalf("Belady stats diverged on cfg %+v:\nreference %+v\nfast      %+v", cfg, bref, bfast)
 		}

@@ -84,14 +84,13 @@ func SimulateLRUWith(cfg Config, impl Impl, trace func(emit func(line int64))) S
 }
 
 // SimulateBeladyFunc records the trace callback and simulates it under
-// Belady-optimal replacement with the chosen implementation. sizeHint is
-// the expected access count (see RecordTraceSized; 0 when unknown). The
-// fast path records into fixed-size chunks and streams next-use distances
+// Belady-optimal replacement with the chosen implementation. The fast
+// path records into fixed-size chunks and streams next-use distances
 // (SimulateBeladyTrace); the reference path materializes a flat []int64
 // and runs the seed oracle. Both return bit-identical Stats.
-func SimulateBeladyFunc(cfg Config, impl Impl, trace func(emit func(line int64)), sizeHint int64) Stats {
+func SimulateBeladyFunc(cfg Config, impl Impl, trace func(emit func(line int64))) Stats {
 	if impl == ImplReference {
-		return SimulateBelady(cfg, RecordTraceSized(trace, sizeHint))
+		return SimulateBelady(cfg, RecordTrace(trace))
 	}
-	return SimulateBeladyTrace(cfg, RecordTraceChunked(trace, sizeHint))
+	return SimulateBeladyTrace(cfg, RecordTraceChunked(trace))
 }

@@ -94,7 +94,7 @@ func AblCacheSweep(r *Runner) (*report.Table, error) {
 			row := []string{md.Entry.Name, t.Name()}
 			for _, c := range capacities {
 				cfg := cachesim.Config{CapacityBytes: c, LineBytes: base.LineBytes, Ways: base.Ways}
-				s := cachesim.SimulateLRU(cfg, trace.SpMVCSR(pm, base.LineBytes))
+				s := cachesim.SimulateLRUWith(cfg, r.cfg.Impl, trace.SpMVCSR(pm, base.LineBytes))
 				row = append(row, report.X(gpumodel.NormalizedTraffic(s, SpMV, md.N, md.NNZ)))
 			}
 			out = append(out, row)
@@ -123,7 +123,7 @@ func AblGorderWindow(r *Runner) (*report.Table, error) {
 			p := g.Order(md.M)
 			elapsed := time.Since(start)
 			pm := md.M.PermuteSymmetric(p)
-			s := cachesim.SimulateLRU(r.cfg.Device.L2, trace.SpMVCSR(pm, r.cfg.Device.L2.LineBytes))
+			s := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSR(pm, r.cfg.Device.L2.LineBytes))
 			out = append(out, []string{md.Entry.Name, fmt.Sprintf("%d", w),
 				report.X(gpumodel.NormalizedTraffic(s, SpMV, md.N, md.NNZ)),
 				fmt.Sprintf("%.3fs", elapsed.Seconds())})
@@ -157,7 +157,7 @@ func AblDetector(r *Runner) (*report.Table, error) {
 			p := t.Order(md.M)
 			elapsed := time.Since(start)
 			pm := md.M.PermuteSymmetric(p)
-			s := cachesim.SimulateLRU(r.cfg.Device.L2, trace.SpMVCSR(pm, r.cfg.Device.L2.LineBytes))
+			s := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSR(pm, r.cfg.Device.L2.LineBytes))
 			out = append(out, []string{md.Entry.Name, t.Name(),
 				report.X(gpumodel.NormalizedTraffic(s, SpMV, md.N, md.NNZ)),
 				report.X(gpumodel.NormalizedRuntime(r.cfg.Device, s, SpMV, md.N, md.NNZ)),
@@ -191,7 +191,7 @@ func AblInterleave(r *Runner) (*report.Table, error) {
 			pm := md.M.PermuteSymmetric(r.Perm(md, t))
 			row := []string{md.Entry.Name, t.Name()}
 			for _, groups := range []int32{1, 8, 64} {
-				s := cachesim.SimulateLRU(r.cfg.Device.L2, trace.SpMVCSRInterleaved(pm, line, groups))
+				s := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSRInterleaved(pm, line, groups))
 				row = append(row, report.X(gpumodel.NormalizedTraffic(s, SpMV, md.N, md.NNZ)))
 			}
 			out = append(out, row)
@@ -217,8 +217,8 @@ func AblTiled(r *Runner) (*report.Table, error) {
 		var out [][]string
 		for _, t := range []reorder.Technique{reorder.Random{Seed: 0xC0FFEE}, reorder.RabbitPP{}} {
 			pm := md.M.PermuteSymmetric(r.Perm(md, t))
-			un := cachesim.SimulateLRU(r.cfg.Device.L2, trace.SpMVCSR(pm, line))
-			ti := cachesim.SimulateLRU(r.cfg.Device.L2, trace.SpMVCSRTiled(pm, line, tile))
+			un := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSR(pm, line))
+			ti := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSRTiled(pm, line, tile))
 			out = append(out, []string{md.Entry.Name, t.Name(),
 				report.X(gpumodel.NormalizedTraffic(un, SpMV, md.N, md.NNZ)),
 				report.X(gpumodel.NormalizedTraffic(ti, SpMV, md.N, md.NNZ))})
@@ -340,7 +340,7 @@ func AblResolution(r *Runner) (*report.Table, error) {
 		for _, gamma := range []float64{0.25, 0.5, 1.0, 2.0, 4.0} {
 			rr := core.RabbitResolution(md.M, gamma)
 			pm := md.M.PermuteSymmetric(rr.Perm)
-			s := cachesim.SimulateLRU(r.cfg.Device.L2, trace.SpMVCSR(pm, line))
+			s := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSR(pm, line))
 			out = append(out, []string{md.Entry.Name, fmt.Sprintf("%.2f", gamma),
 				fmt.Sprintf("%d", rr.Communities.Count),
 				fmt.Sprintf("%.1f", rr.Communities.AverageSize()),
@@ -369,8 +369,8 @@ func AblPolicy(r *Runner) (*report.Table, error) {
 		var out [][]string
 		for _, t := range []reorder.Technique{reorder.Random{Seed: 0xC0FFEE}, reorder.RabbitPP{}} {
 			pm := md.M.PermuteSymmetric(r.Perm(md, t))
-			row := []string{md.Entry.Name, t.Name()}
-			for _, p := range []cachesim.Policy{cachesim.PolicyLRU, cachesim.PolicyPLRU, cachesim.PolicyRandom} {
+			row := []string{md.Entry.Name, t.Name(), report.X(r.NormTraffic(md, t, SpMV))}
+			for _, p := range []cachesim.Policy{cachesim.PolicyPLRU, cachesim.PolicyRandom} {
 				s := cachesim.Simulate(r.cfg.Device.L2, p, trace.SpMVCSR(pm, line))
 				row = append(row, report.X(gpumodel.NormalizedTraffic(s, SpMV, md.N, md.NNZ)))
 			}

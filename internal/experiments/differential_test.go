@@ -43,7 +43,6 @@ func TestDifferentialFastVsReference(t *testing.T) {
 			}
 			for _, k := range diffKernels {
 				tr := r.traceFor(md, reorder.Original{}, k)
-				hint := k.TraceAccessUpperBound(md.N, md.NNZ, l2.LineBytes)
 
 				lruRef := cachesim.SimulateLRUWith(l2, cachesim.ImplReference, tr)
 				lruFast := cachesim.SimulateLRUWith(l2, cachesim.ImplFast, tr)
@@ -52,8 +51,8 @@ func TestDifferentialFastVsReference(t *testing.T) {
 						e.Name, k.String(), lruRef, lruFast)
 				}
 
-				optRef := cachesim.SimulateBeladyFunc(l2, cachesim.ImplReference, tr, hint)
-				optFast := cachesim.SimulateBeladyFunc(l2, cachesim.ImplFast, tr, hint)
+				optRef := cachesim.SimulateBeladyFunc(l2, cachesim.ImplReference, tr)
+				optFast := cachesim.SimulateBeladyFunc(l2, cachesim.ImplFast, tr)
 				if optRef != optFast {
 					t.Errorf("%s %s Belady diverged:\nreference %+v\nfast      %+v",
 						e.Name, k.String(), optRef, optFast)
@@ -82,15 +81,14 @@ func TestDifferentialReorderedTraces(t *testing.T) {
 		}
 		for _, tech := range []reorder.Technique{reorder.Rabbit{}, reorder.Random{}} {
 			tr := r.traceFor(md, tech, k)
-			hint := k.TraceAccessUpperBound(md.N, md.NNZ, l2.LineBytes)
 			lruRef := cachesim.SimulateLRUWith(l2, cachesim.ImplReference, tr)
 			lruFast := cachesim.SimulateLRUWith(l2, cachesim.ImplFast, tr)
 			if lruRef != lruFast {
 				t.Errorf("%s %s LRU diverged under %s:\nreference %+v\nfast      %+v",
 					name, k.String(), tech.Name(), lruRef, lruFast)
 			}
-			optRef := cachesim.SimulateBeladyFunc(l2, cachesim.ImplReference, tr, hint)
-			optFast := cachesim.SimulateBeladyFunc(l2, cachesim.ImplFast, tr, hint)
+			optRef := cachesim.SimulateBeladyFunc(l2, cachesim.ImplReference, tr)
+			optFast := cachesim.SimulateBeladyFunc(l2, cachesim.ImplFast, tr)
 			if optRef != optFast {
 				t.Errorf("%s %s Belady diverged under %s:\nreference %+v\nfast      %+v",
 					name, k.String(), tech.Name(), optRef, optFast)

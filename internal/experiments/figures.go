@@ -247,5 +247,5 @@ func Fig7(r *Runner) (*report.Table, error) {
 // simCSR runs a bare CSR SpMV LRU simulation outside the per-technique
 // cache (used for derived matrices like the insular sub-matrix).
 func simCSR(r *Runner, m *sparse.CSR) cachesim.Stats {
-	return cachesim.SimulateLRU(r.cfg.Device.L2, trace.SpMVCSR(m, r.cfg.Device.L2.LineBytes))
+	return cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSR(m, r.cfg.Device.L2.LineBytes))
 }

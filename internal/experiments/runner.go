@@ -284,8 +284,7 @@ func (r *Runner) SimLRU(md *MatrixData, tech reorder.Technique, k gpumodel.Kerne
 func (r *Runner) SimBelady(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel) cachesim.Stats {
 	key := "belady|" + md.Entry.Name + "|" + tech.Name() + "|" + k.String()
 	return memoize(&r.memo, key, func() cachesim.Stats {
-		hint := k.TraceAccessUpperBound(md.N, md.NNZ, r.cfg.Device.L2.LineBytes)
-		s := cachesim.SimulateBeladyFunc(r.cfg.Device.L2, r.cfg.Impl, r.traceFor(md, tech, k), hint)
+		s := cachesim.SimulateBeladyFunc(r.cfg.Device.L2, r.cfg.Impl, r.traceFor(md, tech, k))
 		r.ran(key, "belady    %-24s %-16s %-12s traffic=%.2fx", md.Entry.Name, tech.Name(), k.String(),
 			gpumodel.NormalizedTraffic(s, k, md.N, md.NNZ))
 		return s

@@ -42,9 +42,9 @@ func (md *MatrixData) SpGEMMInfo() kernels.SpGEMMInfo {
 }
 
 // SpGEMMKernel returns the kernel descriptor for C = M·M — row-wise or
-// cluster-wise — with the symbolic Work terms attached, so normalization
-// and trace-hint formulas have the data-dependent counts the SpGEMM kinds
-// need. Kernel.String() excludes Work, so simulations keyed by a bare
+// cluster-wise — with the symbolic Work terms attached, so the
+// compulsory-traffic and flop formulas behind normalization have the
+// data-dependent counts the SpGEMM kinds need. Kernel.String() excludes Work, so simulations keyed by a bare
 // Kind-only kernel (scheduler prefetch units) share the cache with these.
 func (md *MatrixData) SpGEMMKernel(cluster bool) gpumodel.Kernel {
 	info := md.SpGEMMInfo()

@@ -73,42 +73,6 @@ func TestSpGEMMTableSweepsRegistryAndBudget(t *testing.T) {
 	}
 }
 
-// TestSpGEMMTraceHintNeverReallocates is the satellite gate for the
-// output-growing-kernel pessimism fix: across corpus matrices, techniques,
-// and both execution modes, the Work-based TraceAccessUpperBound must
-// cover the actual emit count while staying under RecordTraceSized's
-// clamp (1<<27 entries) — together those two facts mean the Belady
-// recorder allocates once and never grows.
-func TestSpGEMMTraceHintNeverReallocates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("streams several SpGEMM traces; skipped in -short")
-	}
-	const recorderClamp = 1 << 27 // mirrors RecordTraceSized's maxHint
-	r := testRunner(t, spgemmSubset...)
-	line := r.Config().Device.L2.LineBytes
-	for _, name := range spgemmSubset {
-		md, err := r.Matrix(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tech := range []reorder.Technique{reorder.Original{}, reorder.Rabbit{}} {
-			for _, cluster := range []bool{false, true} {
-				k := md.SpGEMMKernel(cluster)
-				hint := k.TraceAccessUpperBound(md.N, md.NNZ, line)
-				if hint >= recorderClamp {
-					t.Fatalf("%s %s: hint %d would hit the recorder clamp", name, k.String(), hint)
-				}
-				var got int64
-				r.traceFor(md, tech, k)(func(int64) { got++ })
-				if got > hint {
-					t.Fatalf("%s %s under %s: %d accesses exceed hint %d",
-						name, k.String(), tech.Name(), got, hint)
-				}
-			}
-		}
-	}
-}
-
 // TestDifferentialSpGEMM extends the fast-vs-reference simulator gate to
 // the SpGEMM reference streams: on each subset matrix and both execution
 // modes, the fast LRU/Belady paths must produce bit-identical Stats to the
@@ -131,7 +95,6 @@ func TestDifferentialSpGEMM(t *testing.T) {
 		for _, cluster := range []bool{false, true} {
 			k := md.SpGEMMKernel(cluster)
 			tr := r.traceFor(md, reorder.Original{}, k)
-			hint := k.TraceAccessUpperBound(md.N, md.NNZ, l2.LineBytes)
 
 			lruRef := cachesim.SimulateLRUWith(l2, cachesim.ImplReference, tr)
 			lruFast := cachesim.SimulateLRUWith(l2, cachesim.ImplFast, tr)
@@ -139,8 +102,8 @@ func TestDifferentialSpGEMM(t *testing.T) {
 				t.Errorf("%s %s LRU diverged:\nreference %+v\nfast      %+v", name, k.String(), lruRef, lruFast)
 			}
 
-			optRef := cachesim.SimulateBeladyFunc(l2, cachesim.ImplReference, tr, hint)
-			optFast := cachesim.SimulateBeladyFunc(l2, cachesim.ImplFast, tr, hint)
+			optRef := cachesim.SimulateBeladyFunc(l2, cachesim.ImplReference, tr)
+			optFast := cachesim.SimulateBeladyFunc(l2, cachesim.ImplFast, tr)
 			if optRef != optFast {
 				t.Errorf("%s %s Belady diverged:\nreference %+v\nfast      %+v", name, k.String(), optRef, optFast)
 			}

@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/sparse"
 )
@@ -32,6 +33,16 @@ func (p Preset) String() string {
 	default:
 		return fmt.Sprintf("Preset(%d)", int(p))
 	}
+}
+
+// ParsePreset resolves a preset name, the inverse of Preset.String.
+func ParsePreset(name string) (Preset, error) {
+	for _, p := range []Preset{Small, Full} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return Small, fmt.Errorf("gen: unknown preset %q (want %q or %q)", name, Small, Full)
 }
 
 // Generator produces a matrix from a seed.
@@ -284,6 +295,24 @@ func ByName(name string) (Entry, error) {
 		}
 	}
 	return Entry{}, fmt.Errorf("gen: no corpus entry named %q", name)
+}
+
+// ParseMatrices parses a comma-separated list of corpus matrix names, the
+// form every -matrices flag takes. Each name is trimmed of spaces and
+// empty names are skipped; the first name ByName rejects is an error. A
+// list with no names returns nil, which callers read as the whole corpus.
+func ParseMatrices(list string) ([]string, error) {
+	var names []string
+	for _, n := range strings.Split(list, ",") {
+		if n = strings.TrimSpace(n); n == "" {
+			continue
+		}
+		if _, err := ByName(n); err != nil {
+			return nil, err
+		}
+		names = append(names, n)
+	}
+	return names, nil
 }
 
 // Names returns the sorted corpus entry names.

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -212,6 +213,35 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("no-such-matrix"); err == nil {
 		t.Fatal("unknown name accepted")
+	}
+}
+
+func TestParsePreset(t *testing.T) {
+	for _, p := range []Preset{Small, Full} {
+		got, err := ParsePreset(p.String())
+		if err != nil || got != p {
+			t.Fatalf("ParsePreset(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	if _, err := ParsePreset("Small"); err == nil {
+		t.Fatal("ParsePreset accepted a name Preset.String never returns")
+	}
+}
+
+func TestParseMatrices(t *testing.T) {
+	got, err := ParseMatrices(" er-deg16, mawi-like,,")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != "er-deg16" || got[1] != "mawi-like" {
+		t.Fatalf("ParseMatrices = %q", got)
+	}
+	if got, err := ParseMatrices(""); err != nil || got != nil {
+		t.Fatalf(`ParseMatrices("") = %q, %v; want nil, nil`, got, err)
+	}
+	_, err = ParseMatrices("er-deg16,typo,also-typo")
+	if err == nil || !strings.Contains(err.Error(), `"typo"`) {
+		t.Fatalf("ParseMatrices with a typo: err = %v, want one naming \"typo\"", err)
 	}
 }
 

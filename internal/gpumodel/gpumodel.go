@@ -13,7 +13,6 @@ package gpumodel
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cachesim"
 )
@@ -328,75 +327,4 @@ func RooflineTime(d Device, k Kernel, nnz int64, trafficBytes int64) float64 {
 		return compute
 	}
 	return mem
-}
-
-// TraceAccessUpperBound returns a safe upper bound on the number of
-// line-granular accesses the kernel's reference stream (package trace)
-// emits over an n-row matrix with nnz nonzeros, in units of emitted line
-// IDs. Trace recorders use it as a capacity hint so the recording never
-// grows by append doubling. The arithmetic saturates at math.MaxInt64
-// instead of wrapping (the recorders clamp the hint anyway), and negative
-// or degenerate inputs yield 0, never a panic.
-func (k Kernel) TraceAccessUpperBound(n, nnz, lineBytes int64) int64 {
-	if n < 0 || nnz < 0 || lineBytes <= 0 {
-		return 0
-	}
-	switch k.Kind {
-	case SpMVCSR, SpMVCSC:
-		// Per row: two row-offset stream touches (≤2 emits each) plus one
-		// Y/X stream touch (≤2). Per nonzero: column + value stream
-		// touches (≤2 each) plus one irregular dereference.
-		return satAdd(satMul(6, n), satMul(5, nnz))
-	case SpMVCOO:
-		// Per nonzero: three triplet stream touches, one irregular X
-		// dereference, one Y stream touch.
-		return satMul(9, nnz)
-	case SpMMCSR:
-		// Dense rows of K 4-byte elements may straddle lines: a row spans
-		// at most K*4/lineBytes + 1 lines. Per matrix row the C write
-		// streams one dense row (≤2 emits per spanned line) after two
-		// row-offset touches; per nonzero the B read touches one dense
-		// row after the column/value stream touches.
-		span := satAdd(satMul(k.K, 4)/lineBytes, 1)
-		perRow := satAdd(4, satMul(2, span))
-		perNNZ := satAdd(4, span)
-		return satAdd(satMul(perRow, n), satMul(perNNZ, nnz))
-	case SpGEMMCSR, SpGEMMCSRCluster:
-		// Output-growing kernel: the emit count depends on nnz(C) and the
-		// flop count, neither derivable from (n, nnz). The symbolic pass
-		// (kernels.SpGEMMSymbolic → Kernel.Work) supplies both; the naive
-		// shape-only bound (nnz·n) would saturate the recorders' hint
-		// clamp and allocate gigabytes. Per A row: ≤4 row-offset emits
-		// plus ≤4 C row-offset emits. Per A nonzero: ≤4 column/value
-		// stream emits, 2 B-row-offset emits, and ≤2 segment-boundary
-		// lines per B-row visit. Each flop contributes ≤2 B data lines
-		// (column + value); each C nonzero ≤4 streamed write emits.
-		// Cluster-wise execution only dedups B-row visits, so the
-		// row-wise bound covers both kinds.
-		return satAdd(
-			satAdd(satMul(8, n), satMul(8, nnz)),
-			satAdd(satMul(2, k.Work.Flops), satMul(4, k.Work.NNZC)),
-		)
-	default:
-		panic("gpumodel: unknown kernel kind")
-	}
-}
-
-// satMul multiplies non-negative int64s, saturating at math.MaxInt64.
-func satMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > math.MaxInt64/b {
-		return math.MaxInt64
-	}
-	return a * b
-}
-
-// satAdd adds non-negative int64s, saturating at math.MaxInt64.
-func satAdd(a, b int64) int64 {
-	if a > math.MaxInt64-b {
-		return math.MaxInt64
-	}
-	return a + b
 }

@@ -28,7 +28,7 @@ func BenchmarkReorder(b *testing.B) {
 		for _, w := range counts {
 			b.Run(fmt.Sprintf("%s/w=%d", tech.Name(), w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := OrderWith(context.Background(), tech, m, Options{Workers: w}); err != nil {
+					if _, err := OrderWith(context.Background(), WithContext(tech), m, Options{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}

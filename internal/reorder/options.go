@@ -40,17 +40,18 @@ type ParallelOrderer interface {
 	OrderParallelCtx(ctx context.Context, m *sparse.CSR, opts Options) (sparse.Permutation, error)
 }
 
-// OrderWith runs a technique with the given options: techniques that
-// implement ParallelOrderer get the worker count, everything else falls
-// back to the (single-threaded) cancellable path. This is the dispatch
-// point shared by cmd/reorder and the reorderd service.
-func OrderWith(ctx context.Context, t Technique, m *sparse.CSR, opts Options) (sparse.Permutation, error) {
+// OrderWith runs a cancellable technique with the given options:
+// techniques that implement ParallelOrderer get the worker count,
+// everything else runs its (single-threaded) OrderCtx. This is the
+// dispatch point shared by cmd/reorder and the reorderd service; wrap a
+// plain Technique with WithContext.
+func OrderWith(ctx context.Context, t OrdererCtx, m *sparse.CSR, opts Options) (sparse.Permutation, error) {
 	var p sparse.Permutation
 	var err error
 	if po, ok := t.(ParallelOrderer); ok {
 		p, err = po.OrderParallelCtx(ctx, m, opts)
 	} else {
-		p, err = WithContext(t).OrderCtx(ctx, m)
+		p, err = t.OrderCtx(ctx, m)
 	}
 	if err != nil {
 		return nil, err

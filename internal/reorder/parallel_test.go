@@ -42,12 +42,12 @@ func TestWorkerCountDeterminismMatrix(t *testing.T) {
 	counts := workerCounts()
 	for name, m := range determinismMatrices() {
 		for _, tech := range propertyTechniques() {
-			ref, err := OrderWith(context.Background(), tech, m, Options{Workers: 1})
+			ref, err := OrderWith(context.Background(), WithContext(tech), m, Options{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s/%s workers=1: %v", tech.Name(), name, err)
 			}
 			for _, w := range counts[1:] {
-				p, err := OrderWith(context.Background(), tech, m, Options{Workers: w})
+				p, err := OrderWith(context.Background(), WithContext(tech), m, Options{Workers: w})
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", tech.Name(), name, w, err)
 				}
@@ -136,7 +136,7 @@ func TestOrderWithDispatch(t *testing.T) {
 	m := testMatrix(3)
 	for _, tech := range []Technique{DegSort{}, Boba{}} {
 		ref := tech.Order(m)
-		p, err := OrderWith(context.Background(), tech, m, Options{Workers: 4})
+		p, err := OrderWith(context.Background(), WithContext(tech), m, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", tech.Name(), err)
 		}

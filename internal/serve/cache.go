@@ -85,8 +85,11 @@ type matrixFuture struct {
 	err  error
 }
 
-func newMatrixCache(capacity int) *matrixCache {
-	return &matrixCache{lru: newLRUCache(capacity)}
+// matrixCacheEntries is how many generated corpus matrices the cache keeps.
+const matrixCacheEntries = 8
+
+func newMatrixCache() *matrixCache {
+	return &matrixCache{lru: newLRUCache(matrixCacheEntries)}
 }
 
 // get returns the named corpus matrix at the given preset, generating it

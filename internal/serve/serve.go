@@ -40,8 +40,6 @@ type Config struct {
 	// QueueDepth bounds jobs admitted but not yet running; submissions
 	// beyond it are shed with 429 (default 64).
 	QueueDepth int
-	// MatrixCacheEntries bounds the generated-corpus matrix LRU (default 8).
-	MatrixCacheEntries int
 	// MaxBodyBytes bounds uploaded MatrixMarket bodies; larger uploads are
 	// shed with 413 (default 64 MiB).
 	MaxBodyBytes int64
@@ -90,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.MatrixCacheEntries <= 0 {
-		c.MatrixCacheEntries = 8
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
@@ -215,7 +210,7 @@ func New(cfg Config) *Server {
 		pool:     newWorkerPool(cfg.Workers, cfg.QueueDepth),
 		quality:  newLRUCache(cfg.StoreEntries),
 		features: newLRUCache(cfg.StoreEntries),
-		matrices: newMatrixCache(cfg.MatrixCacheEntries),
+		matrices: newMatrixCache(),
 		metrics:  newMetrics(),
 		store:    newJobStore(cfg.StoreEntries),
 	}
@@ -514,14 +509,11 @@ var errUnknownMatrix = errors.New("serve: unknown corpus matrix")
 func (s *Server) requestMatrix(w http.ResponseWriter, r *http.Request) (*sparse.CSR, string, []byte, error) {
 	if name := r.URL.Query().Get("matrix"); name != "" {
 		preset := s.cfg.Preset
-		switch p := r.URL.Query().Get("preset"); p {
-		case "", preset.String():
-		case gen.Small.String():
-			preset = gen.Small
-		case gen.Full.String():
-			preset = gen.Full
-		default:
-			return nil, "", nil, fmt.Errorf("serve: unknown preset %q", p)
+		if p := r.URL.Query().Get("preset"); p != "" {
+			var err error
+			if preset, err = gen.ParsePreset(p); err != nil {
+				return nil, "", nil, err
+			}
 		}
 		m, err := s.matrices.get(name, preset)
 		if err != nil {
@@ -597,20 +589,15 @@ func (s *Server) runJob(ctx context.Context, tech reorder.OrdererCtx, m *sparse.
 	var p sparse.Permutation
 	var rr *core.RabbitResult
 	var err error
-	derive, shared := reorder.FromRabbit(tech)
-	po, parallel := tech.(reorder.ParallelOrderer)
-	switch {
-	case shared:
+	if derive, shared := reorder.FromRabbit(tech); shared {
 		if rr, err = core.RabbitCtx(ctx, m); err == nil {
 			err = ctx.Err()
 		}
 		if err == nil {
 			p = derive(m, rr)
 		}
-	case parallel:
-		p, err = po.OrderParallelCtx(ctx, m, reorder.Options{Workers: s.cfg.OrderWorkers})
-	default:
-		p, err = tech.OrderCtx(ctx, m)
+	} else {
+		p, err = reorder.OrderWith(ctx, tech, m, reorder.Options{Workers: s.cfg.OrderWorkers})
 	}
 	s.metrics.observeJob(tech.Name(), time.Since(start), err != nil)
 	if err != nil {

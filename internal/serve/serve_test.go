@@ -571,6 +571,7 @@ func TestErrorStatuses(t *testing.T) {
 	}{
 		{"unknown technique", map[string]string{"technique": "NOPE"}, mmBody(t, testMatrix(0)), http.StatusBadRequest},
 		{"unknown corpus matrix", map[string]string{"matrix": "no-such-matrix"}, nil, http.StatusNotFound},
+		{"unknown preset", map[string]string{"matrix": "er-deg16", "preset": "typo"}, nil, http.StatusBadRequest},
 		{"no body no matrix", nil, nil, http.StatusBadRequest},
 		{"garbage body", nil, []byte("this is not matrixmarket"), http.StatusBadRequest},
 		{"non-square", nil, []byte("%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n"), http.StatusBadRequest},

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/community"
-	"repro/internal/gpumodel"
 	"repro/internal/kernels"
 	"repro/internal/sparse"
 )
@@ -91,37 +90,6 @@ func TestSpGEMMTraceDeterministic(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: streams diverge at %d", name, i)
-			}
-		}
-	}
-}
-
-// TestSpGEMMTraceHintBound checks the gpumodel upper bound against actual
-// emit counts for both kinds across degenerate and regular matrices — the
-// guarantee that RecordTraceSized's capacity hint never undershoots.
-func TestSpGEMMTraceHintBound(t *testing.T) {
-	matrices := []*sparse.CSR{
-		spgemmTestMatrix(t, 40, 3),
-		spgemmTestMatrix(t, 600, 5),
-		sparse.NewCOO(0, 0, 0).ToCSR(),
-		sparse.NewCOO(5, 5, 0).ToCSR(), // all rows empty
-	}
-	const line = 128
-	for _, m := range matrices {
-		info, err := kernels.SpGEMMSymbolic(m, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		work := gpumodel.SpGEMMWork{Flops: info.Flops, NNZB: int64(m.NNZ()), NNZC: info.NNZC}
-		for kind, tr := range map[gpumodel.Kind]func(func(int64)){
-			gpumodel.SpGEMMCSR:        SpGEMM(m, m, info.RowNNZ, line),
-			gpumodel.SpGEMMCSRCluster: SpGEMMCluster(m, m, info.RowNNZ, nil, line),
-		} {
-			k := gpumodel.Kernel{Kind: kind, Work: work}
-			bound := k.TraceAccessUpperBound(int64(m.NumRows), int64(m.NNZ()), line)
-			got := int64(len(collect(tr)))
-			if got > bound {
-				t.Fatalf("%s on %dx%d: %d accesses exceed bound %d", k.String(), m.NumRows, m.NumCols, got, bound)
 			}
 		}
 	}

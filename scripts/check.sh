@@ -16,6 +16,9 @@ go run ./cmd/lint ./...
 echo "==> hotalloc escape gate (//repro:noalloc kernels and simulator fast paths)"
 go run ./cmd/lint -run hotalloc ./internal/kernels ./internal/cachesim
 
+echo "==> perfbench vet + tests (a module of its own that go build ./... never compiles; a renamed symbol it uses breaks every benchmark run)"
+(cd perfbench && go vet ./... && go test -count=1 ./...)
+
 # The experiment smoke sweeps every registered technique through Table IV
 # and the multi-device identity matrix; under -race on a small host that
 # legitimately exceeds go test's default 600s per-package timeout, so give
