@@ -18,7 +18,7 @@ import (
 	"repro/internal/sparse"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/owned_digests.tsv")
+var update = flag.Bool("update", false, "rewrite the digest tables under testdata")
 
 // ownedDigestHeader names the columns of testdata/owned_digests.tsv.
 const ownedDigestHeader = "matrix\tkernel\towner\tline_bytes\taccesses\tstream_sha256\thome_sha256"
@@ -65,30 +65,87 @@ func reversedCOO(m *sparse.CSR) *sparse.COO {
 	return c
 }
 
-// TestOwnedDigests pins the device-attributed streams and home maps of
-// every owned generator: the SHA-256 of each (device, line) sequence and
-// of each Home map, for every kernel over three matrices (the Small
-// wiki-talk-like for its empty rows), three owner vectors and two line
-// sizes. A change that moves one access, retags one device or rehomes one
-// line shows up here. Regenerate after an intentional change with:
-//
-//	go test ./internal/trace -run TestOwnedDigests -update
-func TestOwnedDigests(t *testing.T) {
+// digestLineSizes are the line sizes both digest tables pin: every
+// power of two from below one element (2 bytes) to the modelled 128.
+var digestLineSizes = []int64{2, 4, 32, 64, 128}
+
+// digestMatrix is one matrix of the digest tables.
+type digestMatrix struct {
+	name string
+	m    *sparse.CSR
+}
+
+// digestMatrices returns the matrices both digest tables run every
+// generator over: two small random graphs and the Small wiki-talk-like,
+// for its empty rows.
+func digestMatrices(t *testing.T) []digestMatrix {
+	t.Helper()
 	wiki, err := gen.ByName("wiki-talk-like")
 	if err != nil {
 		t.Fatal(err)
 	}
-	matrices := []struct {
-		name string
-		m    *sparse.CSR
-	}{
+	return []digestMatrix{
 		{"er-257", gen.ErdosRenyi{Nodes: 257, AvgDegree: 6}.Generate(1)},
 		{"planted-300", gen.PlantedPartition{Nodes: 300, Communities: 10, AvgDegree: 8, Mu: 0.3}.Generate(2)},
 		{"wiki-talk-like", wiki.Generate(gen.Small)},
 	}
+}
+
+// checkDigestTable compares got, a TSV whose first line is header, with
+// testdata/name, or rewrites that file under -update. Rows are compared
+// column by column from column keys on; the columns before it name the
+// row.
+func checkDigestTable(t *testing.T, name, header string, keys int, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing digest file (regenerate with -update): %v", err)
+	}
+	wantRows := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
+	gotRows := strings.Split(strings.TrimRight(string(got), "\n"), "\n")
+	if len(wantRows) != len(gotRows) {
+		t.Fatalf("%s has %d rows, the generators give %d", path, len(wantRows), len(gotRows))
+	}
+	cols := strings.Split(header, "\t")
+	for i := range gotRows {
+		if gotRows[i] == wantRows[i] {
+			continue
+		}
+		g, w := strings.Split(gotRows[i], "\t"), strings.Split(wantRows[i], "\t")
+		if len(g) != len(w) {
+			t.Errorf("row %d: %d columns, want %d", i, len(g), len(w))
+			continue
+		}
+		for c := keys; c < len(cols); c++ {
+			if g[c] != w[c] {
+				t.Errorf("%s: %s is %s, want %s", strings.Join(g[:keys], "/"), cols[c], g[c], w[c])
+			}
+		}
+	}
+}
+
+// TestOwnedDigests pins the device-attributed streams and home maps of
+// every owned generator: the SHA-256 of each (device, line) sequence and
+// of each Home map, for every kernel over the digest matrices, three
+// owner vectors and every digest line size. A change that moves one
+// access, retags one device or rehomes one line shows up here.
+// Regenerate after an intentional change with:
+//
+//	go test ./internal/trace -run TestOwnedDigests -update
+func TestOwnedDigests(t *testing.T) {
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, ownedDigestHeader)
-	for _, mat := range matrices {
+	for _, mat := range digestMatrices(t) {
 		m := mat.m
 		info, err := kernels.SpGEMMSymbolic(m, m)
 		if err != nil {
@@ -103,7 +160,7 @@ func TestOwnedDigests(t *testing.T) {
 			{"block4", blockOwner(m.NumRows, 4)},
 			{"scatter16", scatterOwner(m.NumRows, 16)},
 		}
-		for _, line := range []int64{32, 128} {
+		for _, line := range digestLineSizes {
 			for _, o := range owners {
 				cases := []struct {
 					name  string
@@ -123,39 +180,5 @@ func TestOwnedDigests(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("testdata", "owned_digests.tsv")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing digest file (regenerate with -update): %v", err)
-	}
-	wantRows := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
-	gotRows := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(wantRows) != len(gotRows) {
-		t.Fatalf("%s has %d rows, the generators give %d", path, len(wantRows), len(gotRows))
-	}
-	cols := strings.Split(ownedDigestHeader, "\t")
-	for i := range gotRows {
-		if gotRows[i] == wantRows[i] {
-			continue
-		}
-		g, w := strings.Split(gotRows[i], "\t"), strings.Split(wantRows[i], "\t")
-		if len(g) != len(w) {
-			t.Errorf("row %d: %d columns, want %d", i, len(g), len(w))
-			continue
-		}
-		for c := 4; c < len(cols); c++ {
-			if g[c] != w[c] {
-				t.Errorf("%s: %s is %s, want %s", strings.Join(g[:4], "/"), cols[c], g[c], w[c])
-			}
-		}
-	}
+	checkDigestTable(t, "owned_digests.tsv", ownedDigestHeader, 4, buf.Bytes())
 }
