@@ -148,6 +148,19 @@ func TestCLIErrors(t *testing.T) {
 	if !strings.Contains(out, "matrices=2") {
 		t.Fatalf("experiments with a spaced -matrices list:\n%s", out)
 	}
+
+	// A line size that is not a power of two is refused before any trace
+	// is generated, even where the capacity divides into its sets.
+	cachesimBin := buildTool(t, dir, "cachesim")
+	ring := filepath.Join(dir, "ring.mtx")
+	if err := os.WriteFile(ring, []byte("%%MatrixMarket matrix coordinate real general\n4 4 4\n1 2 1\n2 3 1\n3 4 1\n4 1 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := exec.Command(cachesimBin, "-in", ring, "-line", "96", "-l2", "98304").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(res), "line size 96") {
+		t.Fatalf("cachesim -line 96: err=%v, want exit 1 naming line size 96:\n%s", err, res)
+	}
 }
 
 // TestCLISpGEMM drives the spgemm binary: row-wise and cluster-wise

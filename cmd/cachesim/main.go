@@ -56,7 +56,7 @@ func run() error {
 		techs   = flag.String("techniques", "ORIGINAL,RANDOM,RABBIT,RABBIT++", "comma-separated techniques")
 		kernel  = flag.String("kernel", "spmv-csr", "kernel: spmv-csr, spmv-coo, spmm-4, spmm-256, spgemm, spgemm-cluster")
 		l2      = flag.Int64("l2", 256<<10, "L2 capacity in bytes")
-		line    = flag.Int64("line", 128, "cache line size in bytes")
+		line    = flag.Int64("line", 128, "cache line size in bytes, a power of two")
 		ways    = flag.Int("ways", 16, "associativity")
 		belady  = flag.Bool("belady", false, "also simulate Belady-optimal replacement")
 		workers = flag.Int("workers", 0, "concurrent technique simulations (0 = all CPUs, 1 = serial)")

@@ -27,14 +27,15 @@ func assertCoherent(s Stats) {
 		"cachesim: dead fills %d exceed misses %d", s.DeadFills, s.Misses)
 }
 
-// Config describes a cache geometry. CapacityBytes must be a multiple of
-// LineBytes*Ways so the set count is integral; any positive set count is
-// supported (the A6000 L2 has 3072 sets).
+// Config describes a cache geometry. LineBytes must be a power of two and
+// CapacityBytes a multiple of LineBytes*Ways so the set count is
+// integral; any positive set count is supported (the A6000 L2 has 3072
+// sets).
 type Config struct {
 	// CapacityBytes is the total cache capacity in bytes.
 	CapacityBytes int64
-	// LineBytes is the cache-line size in bytes; line IDs are
-	// address/LineBytes.
+	// LineBytes is the cache-line size in bytes, a power of two; line IDs
+	// are address/LineBytes, which internal/trace computes by shifting.
 	LineBytes int64
 	// Ways is the associativity (lines per set).
 	Ways int32
@@ -72,6 +73,9 @@ func (c Config) Split(k int) Config {
 func (c Config) Validate() error {
 	if c.CapacityBytes <= 0 || c.LineBytes <= 0 || c.Ways <= 0 {
 		return fmt.Errorf("cachesim: non-positive geometry %+v", c)
+	}
+	if c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("cachesim: line size %d is not a power of two", c.LineBytes)
 	}
 	if c.CapacityBytes%(c.LineBytes*int64(c.Ways)) != 0 {
 		return fmt.Errorf("cachesim: capacity %d not divisible by line*ways = %d",

@@ -24,6 +24,7 @@ func TestConfigValidate(t *testing.T) {
 		{CapacityBytes: 0, LineBytes: 64, Ways: 2},
 		{CapacityBytes: 1000, LineBytes: 64, Ways: 2}, // not divisible
 		{CapacityBytes: 1024, LineBytes: -1, Ways: 2},
+		{CapacityBytes: 96 * 16, LineBytes: 96, Ways: 16}, // line not a power of two
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {

@@ -42,7 +42,9 @@ func ValidPermutation(p sparse.Permutation) error {
 
 // ValidCSR returns an error unless m satisfies the CSR structural contract:
 // consistent slice lengths, monotone row offsets starting at 0, and
-// in-bounds, strictly increasing column indices within every row.
+// in-bounds, strictly increasing column indices within every row. It is
+// the kernels' contract, so it rejects a sparse pattern (nil Values with
+// stored nonzeros): every kernel reads the values.
 func ValidCSR(m *sparse.CSR) error {
 	if m == nil {
 		return fmt.Errorf("check: nil CSR")

@@ -42,7 +42,10 @@ func buildFuzzCSR(data []byte) *sparse.CSR {
 
 // FuzzValidCSR is a differential fuzz target: check.ValidCSR and
 // sparse.CSR.Validate are independent implementations of the same contract,
-// so they must agree on every input — and neither may panic.
+// so they must agree on every input — and neither may panic. buildFuzzCSR
+// always fills Values beside ColIndices, because the two differ on one
+// input by design: sparse.Validate accepts a pattern (nil Values), which
+// the kernels' contract that ValidCSR states does not.
 func FuzzValidCSR(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})

@@ -90,7 +90,7 @@ func AblCacheSweep(r *Runner) (*report.Table, error) {
 	err := ablate(r, tb, pickEntries(r, 3), func(md *MatrixData) ([][]string, error) {
 		var out [][]string
 		for _, t := range techs {
-			pm := md.M.PermuteSymmetric(r.Perm(md, t))
+			pm := r.permuted(md, t)
 			row := []string{md.Entry.Name, t.Name()}
 			for _, c := range capacities {
 				cfg := cachesim.Config{CapacityBytes: c, LineBytes: base.LineBytes, Ways: base.Ways}
@@ -122,7 +122,7 @@ func AblGorderWindow(r *Runner) (*report.Table, error) {
 			start := time.Now()
 			p := g.Order(md.M)
 			elapsed := time.Since(start)
-			pm := md.M.PermuteSymmetric(p)
+			pm := md.M.Pattern().PermuteSymmetric(p)
 			s := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSR(pm, r.cfg.Device.L2.LineBytes))
 			out = append(out, []string{md.Entry.Name, fmt.Sprintf("%d", w),
 				report.X(gpumodel.NormalizedTraffic(s, SpMV, md.N, md.NNZ)),
@@ -156,7 +156,7 @@ func AblDetector(r *Runner) (*report.Table, error) {
 			start := time.Now()
 			p := t.Order(md.M)
 			elapsed := time.Since(start)
-			pm := md.M.PermuteSymmetric(p)
+			pm := md.M.Pattern().PermuteSymmetric(p)
 			s := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSR(pm, r.cfg.Device.L2.LineBytes))
 			out = append(out, []string{md.Entry.Name, t.Name(),
 				report.X(gpumodel.NormalizedTraffic(s, SpMV, md.N, md.NNZ)),
@@ -188,7 +188,7 @@ func AblInterleave(r *Runner) (*report.Table, error) {
 	err := ablate(r, tb, pickEntries(r, 3), func(md *MatrixData) ([][]string, error) {
 		var out [][]string
 		for _, t := range techs {
-			pm := md.M.PermuteSymmetric(r.Perm(md, t))
+			pm := r.permuted(md, t)
 			row := []string{md.Entry.Name, t.Name()}
 			for _, groups := range []int32{1, 8, 64} {
 				s := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSRInterleaved(pm, line, groups))
@@ -216,7 +216,7 @@ func AblTiled(r *Runner) (*report.Table, error) {
 	err := ablate(r, tb, pickEntries(r, 3), func(md *MatrixData) ([][]string, error) {
 		var out [][]string
 		for _, t := range []reorder.Technique{reorder.Random{Seed: 0xC0FFEE}, reorder.RabbitPP{}} {
-			pm := md.M.PermuteSymmetric(r.Perm(md, t))
+			pm := r.permuted(md, t)
 			un := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSR(pm, line))
 			ti := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSRTiled(pm, line, tile))
 			out = append(out, []string{md.Entry.Name, t.Name(),
@@ -339,7 +339,7 @@ func AblResolution(r *Runner) (*report.Table, error) {
 		var out [][]string
 		for _, gamma := range []float64{0.25, 0.5, 1.0, 2.0, 4.0} {
 			rr := core.RabbitResolution(md.M, gamma)
-			pm := md.M.PermuteSymmetric(rr.Perm)
+			pm := md.M.Pattern().PermuteSymmetric(rr.Perm)
 			s := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, trace.SpMVCSR(pm, line))
 			out = append(out, []string{md.Entry.Name, fmt.Sprintf("%.2f", gamma),
 				fmt.Sprintf("%d", rr.Communities.Count),
@@ -368,7 +368,7 @@ func AblPolicy(r *Runner) (*report.Table, error) {
 	err := ablate(r, tb, pickEntries(r, 2), func(md *MatrixData) ([][]string, error) {
 		var out [][]string
 		for _, t := range []reorder.Technique{reorder.Random{Seed: 0xC0FFEE}, reorder.RabbitPP{}} {
-			pm := md.M.PermuteSymmetric(r.Perm(md, t))
+			pm := r.permuted(md, t)
 			row := []string{md.Entry.Name, t.Name(), report.X(r.NormTraffic(md, t, SpMV))}
 			for _, p := range []cachesim.Policy{cachesim.PolicyPLRU, cachesim.PolicyRandom} {
 				s := cachesim.Simulate(r.cfg.Device.L2, p, trace.SpMVCSR(pm, line))

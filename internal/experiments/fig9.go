@@ -45,13 +45,13 @@ func Fig9(r *Runner) (*report.Table, error) {
 		// Per-iteration SpMV time for RANDOM vs each technique, from the
 		// device model.
 		randPerm := reorder.Random{Seed: 0xC0FFEE}.Order(m)
-		randTime := projectedSpMVTime(r, m.PermuteSymmetric(randPerm))
+		randTime := projectedSpMVTime(r, m.Pattern().PermuteSymmetric(randPerm))
 		for _, t := range techs {
 			start := time.Now()
 			p := t.Order(m)
 			elapsed := time.Since(start).Seconds()
 			row = append(row, fmt.Sprintf("%.3fs", elapsed))
-			techTime := projectedSpMVTime(r, m.PermuteSymmetric(p))
+			techTime := projectedSpMVTime(r, m.Pattern().PermuteSymmetric(p))
 			if saved := randTime - techTime; saved > 0 {
 				amortized[t.Name()] = append(amortized[t.Name()], elapsed/saved)
 			}

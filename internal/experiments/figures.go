@@ -186,7 +186,7 @@ func Fig6(r *Runner) (*report.Table, error) {
 			return row{}, nil
 		}
 		p := r.Perm(md, variant)
-		pm := masked.PermuteSymmetric(p)
+		pm := masked.Pattern().PermuteSymmetric(p)
 		s := simCSR(r, pm)
 		nt := gpumodel.NormalizedTraffic(s, SpMV, int64(pm.NumRows), int64(pm.NNZ()))
 		return row{insularFrac: md.Stats().InsularNodeFraction, traffic: nt, hasNNZ: true}, nil

@@ -84,7 +84,7 @@ func (r *Runner) ownedTraceFor(md *MatrixData, tech reorder.Technique, pm *spars
 func (r *Runner) SimMultiDev(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel, devices int, part string) multidev.Stats {
 	key := fmt.Sprintf("mdev|%s|%s|%s|K%d|%s", md.Entry.Name, tech.Name(), k.String(), devices, part)
 	return memoize(&r.memo, key, func() multidev.Stats {
-		pm := md.M.PermuteSymmetric(r.Perm(md, tech))
+		pm := r.permuted(md, tech)
 		owner := r.multiDevOwner(md, tech, pm, devices, part)
 		cfg := multidev.Config{
 			Devices: devices,

@@ -45,6 +45,7 @@ type Config struct {
 	// bandwidth model the experiments target.
 	Device gpumodel.Device
 	// Matrices restricts the corpus to the named entries; nil runs all 50.
+	// Every name must be a corpus entry (NewRunner panics otherwise).
 	Matrices []string
 	// Progress, when non-nil, receives one line per completed unit of
 	// work. Writes are serialized by the Runner.
@@ -139,8 +140,16 @@ type Runner struct {
 	unitCounts map[string]int
 }
 
-// NewRunner builds a Runner over the configured corpus subset.
+// NewRunner builds a Runner over the configured corpus subset. It panics
+// naming the first cfg.Matrices name that is not a corpus entry, so a
+// typo never runs a smaller corpus; the CLIs reject one earlier, with an
+// error, through gen.ParseMatrices.
 func NewRunner(cfg Config) *Runner {
+	for _, name := range cfg.Matrices {
+		if _, err := gen.ByName(name); err != nil {
+			panic(fmt.Sprintf("experiments: Config.Matrices: %v", err))
+		}
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -291,10 +300,17 @@ func (r *Runner) SimBelady(md *MatrixData, tech reorder.Technique, k gpumodel.Ke
 	})
 }
 
+// permuted returns P·A·Pᵀ under the technique's cached permutation as a
+// pattern: every matrix this package permutes feeds only trace generators
+// and partitioners, which read no value.
+func (r *Runner) permuted(md *MatrixData, tech reorder.Technique) *sparse.CSR {
+	return md.M.Pattern().PermuteSymmetric(r.Perm(md, tech))
+}
+
 // traceFor builds the reference stream of the kernel over the reordered
 // matrix.
 func (r *Runner) traceFor(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel) func(func(int64)) {
-	pm := md.M.PermuteSymmetric(r.Perm(md, tech))
+	pm := r.permuted(md, tech)
 	line := r.cfg.Device.L2.LineBytes
 	switch k.Kind {
 	case gpumodel.SpMVCSR:

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -35,6 +36,31 @@ func TestPrefetchUnknownMatrix(t *testing.T) {
 	err := r.Prefetch([]Unit{{Kind: UnitStats, Matrix: "no-such-matrix"}})
 	if err == nil {
 		t.Fatal("Prefetch accepted an unknown matrix")
+	}
+}
+
+// TestNewRunnerRejectsUnknownMatrix pins that a misspelled Config.Matrices
+// name stops a library caller too: NewRunner panics naming the first
+// unknown name instead of running a smaller corpus. An untrimmed name is
+// not a corpus entry either.
+func TestNewRunnerRejectsUnknownMatrix(t *testing.T) {
+	for _, c := range []struct {
+		names []string
+		bad   string
+	}{
+		{[]string{"er-deg16", "typo", "soc-tight-2", "typo2"}, "typo"},
+		{[]string{"er-deg16", " soc-tight-2"}, " soc-tight-2"},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, fmt.Sprintf("%q", c.bad)) {
+					t.Errorf("NewRunner(Matrices: %q) recovered %q, want a panic naming %q", c.names, msg, c.bad)
+				}
+			}()
+			cfg := SmallConfig()
+			cfg.Matrices = c.names
+			NewRunner(cfg)
+		}()
 	}
 }
 

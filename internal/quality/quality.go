@@ -186,14 +186,30 @@ type Summary struct {
 
 // Measure computes all quality metrics of an ordering in one pass set.
 func Measure(m *sparse.CSR, p sparse.Permutation, lineBytes int64, window int32) Summary {
-	pm := m.PermuteSymmetric(p)
 	return Summary{
 		AvgEdgeDistance: AverageEdgeDistance(m, p),
 		MeanLog2Gap:     MeanLog2Gap(GapProfile(m, p)),
 		LinePacking:     LinePacking(m, p, lineBytes),
 		WorkingSet:      WindowedWorkingSet(m, p, window),
-		Bandwidth:       pm.Bandwidth(),
+		Bandwidth:       permutedBandwidth(m, p),
 	}
+}
+
+// permutedBandwidth returns the bandwidth of P·A·Pᵀ, max |p(r) − p(c)|
+// over the stored nonzeros (r, c), without building the permuted matrix.
+func permutedBandwidth(m *sparse.CSR, p sparse.Permutation) int32 {
+	var bw int32
+	for r := int32(0); r < m.NumRows; r++ {
+		cols, _ := m.Row(r)
+		for _, c := range cols {
+			d := p[r] - p[c]
+			if d < 0 {
+				d = -d
+			}
+			bw = max(bw, d)
+		}
+	}
+	return bw
 }
 
 // Normalized returns the working set as a fraction of the matrix dimension

@@ -1,9 +1,10 @@
 package quality_test
 
 import (
-	"testing"
-
+	"fmt"
 	"math"
+	"math/rand"
+	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/quality"
@@ -123,6 +124,75 @@ func TestMeasureSummary(t *testing.T) {
 	}
 	if s.NormalizedWorkingSet(0) != 0 {
 		t.Fatal("zero-dimension normalization should be 0")
+	}
+}
+
+// bandwidthCorpus mirrors the square matrices of internal/sparse's wire
+// test corpus (empty, empty rows, dense, duplicate-heavy, special values)
+// and adds random graphs with empty rows and a hub.
+func bandwidthCorpus() map[string]*sparse.CSR {
+	dup := sparse.NewCOO(6, 6, 32)
+	for i := 0; i < 4; i++ {
+		dup.Add(1, 3, 0.25)
+		dup.AddSym(2, int32(i), float32(i))
+	}
+	dense := sparse.NewCOO(5, 5, 25)
+	for i := int32(0); i < 5; i++ {
+		for j := int32(0); j < 5; j++ {
+			dense.Add(i, j, float32(i*5+j)-12)
+		}
+	}
+	specials := sparse.NewCOO(3, 3, 4)
+	specials.Add(0, 0, float32(math.Inf(1)))
+	specials.Add(1, 1, float32(math.NaN()))
+	specials.Add(2, 0, -0.0)
+	out := map[string]*sparse.CSR{
+		"empty-0x0":  sparse.NewCOO(0, 0, 0).ToCSR(),
+		"empty-rows": sparse.NewCOO(9, 9, 0).ToCSR(),
+		"dense-5x5":  dense.ToCSR(),
+		"dup-heavy":  dup.ToCSR(),
+		"specials":   specials.ToCSR(),
+		"mesh-12":    gen.Mesh2D{Width: 12, Height: 12}.Generate(1),
+	}
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range []int32{1, 17, 200} {
+		coo := sparse.NewCOO(n, n, 0)
+		for k := rng.Intn(int(4*n) + 1); k > 0; k-- {
+			coo.Add(rng.Int31n(n), rng.Int31n(n), 1)
+		}
+		hub := rng.Int31n(n)
+		for c := int32(0); c < n; c += 3 {
+			coo.Add(hub, c, 1)
+		}
+		out[fmt.Sprintf("random-%d", n)] = coo.ToCSR()
+	}
+	return out
+}
+
+// TestMeasureBandwidthMatchesPermutedMatrix checks Measure's bandwidth,
+// computed from the permutation alone, against the bandwidth of the
+// permuted matrix itself under the identity, a reversal, and random
+// permutations.
+func TestMeasureBandwidthMatchesPermutedMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for name, m := range bandwidthCorpus() {
+		n := m.NumRows
+		rev := make(sparse.Permutation, n)
+		for i := range rev {
+			rev[i] = n - 1 - int32(i)
+		}
+		perms := []sparse.Permutation{sparse.Identity(n), rev}
+		for k := 0; k < 5; k++ {
+			p := sparse.Identity(n)
+			rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+			perms = append(perms, p)
+		}
+		for i, p := range perms {
+			got := quality.Measure(m, p, 128, 8).Bandwidth
+			if want := m.PermuteSymmetric(p).Bandwidth(); got != want {
+				t.Fatalf("%s, permutation %d: Measure bandwidth %d, permuted matrix's %d", name, i, got, want)
+			}
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ type COO struct {
 	NumCols int32     // column count
 	RowIdx  []int32   // row index per entry
 	ColIdx  []int32   // column index per entry, parallel to RowIdx
-	Values  []float32 // value per entry; duplicates sum on Compact
+	Values  []float32 // value per entry; duplicates sum on Compact; nil from CSRToCOO of a pattern
 }
 
 // NewCOO returns an empty COO matrix of the given shape with capacity for
@@ -159,13 +159,22 @@ func (c *COO) ToCSR() *CSR {
 }
 
 // CSRToCOO converts a CSR matrix to coordinate format with entries in
-// row-major order.
+// row-major order. A pattern converts to a COO with nil Values, which only
+// a trace generator can consume.
 func CSRToCOO(m *CSR) *COO {
-	out := NewCOO(m.NumRows, m.NumCols, m.NNZ())
+	nnz := m.NNZ()
+	out := &COO{NumRows: m.NumRows, NumCols: m.NumCols, RowIdx: make([]int32, 0, nnz), ColIdx: make([]int32, 0, nnz)}
+	if m.Values != nil {
+		out.Values = make([]float32, 0, nnz)
+	}
 	for r := int32(0); r < m.NumRows; r++ {
 		cols, vals := m.Row(r)
 		for k, c := range cols {
-			out.Add(r, c, vals[k])
+			out.RowIdx = append(out.RowIdx, r)
+			out.ColIdx = append(out.ColIdx, c)
+			if vals != nil {
+				out.Values = append(out.Values, vals[k])
+			}
 		}
 	}
 	return out

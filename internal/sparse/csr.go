@@ -19,12 +19,27 @@ import (
 // live in ColIndices[RowOffsets[r]:RowOffsets[r+1]] (and the parallel slice
 // of Values). Column indices within a row are kept sorted and unique by all
 // constructors in this package.
+//
+// A CSR with nil Values is a pattern: the nonzero structure alone, for
+// consumers that read no value, such as the trace generators and the
+// structural statistics. Pattern makes one as a view of a valued matrix;
+// PermuteSymmetric, Transpose, Symmetrize, CSRToCOO and Row carry a
+// pattern through, and Validate accepts one. Operations that read or copy
+// values (the kernels, Equal, Clone, MaskRowsCols, the writers) need a
+// valued matrix.
 type CSR struct {
 	NumRows    int32     // row count; RowOffsets has NumRows+1 entries
 	NumCols    int32     // column count; every ColIndices entry is < NumCols
 	RowOffsets []int32   // row r's entries span [RowOffsets[r], RowOffsets[r+1])
 	ColIndices []int32   // column index per nonzero, sorted and unique within a row
-	Values     []float32 // value per nonzero, parallel to ColIndices
+	Values     []float32 // value per nonzero, parallel to ColIndices; nil for a pattern
+}
+
+// Pattern returns m's pattern: a view sharing m's RowOffsets and
+// ColIndices, with nil Values. It copies nothing, so the caller must not
+// modify either slice.
+func (m *CSR) Pattern() *CSR {
+	return &CSR{NumRows: m.NumRows, NumCols: m.NumCols, RowOffsets: m.RowOffsets, ColIndices: m.ColIndices}
 }
 
 // NNZ returns the number of stored nonzeros.
@@ -34,10 +49,15 @@ func (m *CSR) NNZ() int { return len(m.ColIndices) }
 func (m *CSR) IsSquare() bool { return m.NumRows == m.NumCols }
 
 // Row returns the column indices and values of row r as sub-slices of the
-// matrix storage. The caller must not modify them.
+// matrix storage; the values are nil for a pattern. The caller must not
+// modify them.
 func (m *CSR) Row(r int32) ([]int32, []float32) {
 	lo, hi := m.RowOffsets[r], m.RowOffsets[r+1]
-	return m.ColIndices[lo:hi], m.Values[lo:hi]
+	// Clamping to len(Values) yields a pattern's nil values without a
+	// branch: the kernels inline Row into their inner loops, and a
+	// branch here slowed BenchmarkSpGEMM/merge by ~15% (2-CPU x86-64).
+	vhi := min(int(hi), len(m.Values))
+	return m.ColIndices[lo:hi], m.Values[min(int(lo), vhi):vhi]
 }
 
 // RowLen returns the number of nonzeros in row r.
@@ -45,8 +65,8 @@ func (m *CSR) RowLen(r int32) int32 { return m.RowOffsets[r+1] - m.RowOffsets[r]
 
 // Validate checks the structural invariants of the CSR format: offset
 // monotonicity, index bounds, sorted and duplicate-free rows, and slice
-// length consistency. It returns a descriptive error for the first violation
-// found.
+// length consistency (a pattern has no Values to check). It returns a
+// descriptive error for the first violation found.
 func (m *CSR) Validate() error {
 	if m.NumRows < 0 || m.NumCols < 0 {
 		return fmt.Errorf("sparse: negative dimensions %dx%d", m.NumRows, m.NumCols)
@@ -57,7 +77,7 @@ func (m *CSR) Validate() error {
 	if m.RowOffsets[0] != 0 {
 		return fmt.Errorf("sparse: RowOffsets[0] = %d, want 0", m.RowOffsets[0])
 	}
-	if len(m.Values) != len(m.ColIndices) {
+	if m.Values != nil && len(m.Values) != len(m.ColIndices) {
 		return fmt.Errorf("sparse: %d values for %d column indices", len(m.Values), len(m.ColIndices))
 	}
 	if int(m.RowOffsets[m.NumRows]) != len(m.ColIndices) {
@@ -133,16 +153,18 @@ func (m *CSR) EqualPattern(o *CSR) bool {
 	return true
 }
 
-// Transpose returns the transpose of the matrix as a new CSR. Rows of the
-// result are sorted because the counting transpose visits source rows in
-// order.
+// Transpose returns the transpose of the matrix as a new CSR, a pattern
+// for a pattern. Rows of the result are sorted because the counting
+// transpose visits source rows in order.
 func (m *CSR) Transpose() *CSR {
 	t := &CSR{
 		NumRows:    m.NumCols,
 		NumCols:    m.NumRows,
 		RowOffsets: make([]int32, int(m.NumCols)+1),
 		ColIndices: make([]int32, len(m.ColIndices)),
-		Values:     make([]float32, len(m.Values)),
+	}
+	if m.Values != nil {
+		t.Values = make([]float32, len(m.Values))
 	}
 	for _, c := range m.ColIndices {
 		t.RowOffsets[c+1]++
@@ -159,7 +181,9 @@ func (m *CSR) Transpose() *CSR {
 			dst := cursor[c]
 			cursor[c]++
 			t.ColIndices[dst] = r
-			t.Values[dst] = m.Values[k]
+			if t.Values != nil {
+				t.Values[dst] = m.Values[k]
+			}
 		}
 	}
 	return t
@@ -185,9 +209,10 @@ func (m *CSR) IsPatternSymmetric() bool {
 
 // Symmetrize returns A ∪ Aᵀ as a new matrix: the pattern is the union of the
 // pattern and its transpose, and coincident entries keep the value from A
-// (transposed-only entries take the transposed value). Matrix reordering
-// techniques that perform community detection treat the matrix as an
-// undirected graph, which is exactly the symmetrized pattern.
+// (transposed-only entries take the transposed value); a pattern
+// symmetrizes to a pattern. Matrix reordering techniques that perform
+// community detection treat the matrix as an undirected graph, which is
+// exactly the symmetrized pattern.
 func (m *CSR) Symmetrize() *CSR {
 	if !m.IsSquare() {
 		panic("sparse: Symmetrize requires a square matrix")
@@ -201,27 +226,31 @@ func (m *CSR) Symmetrize() *CSR {
 	// Merge the sorted rows of m and t.
 	est := len(m.ColIndices) + len(t.ColIndices)
 	out.ColIndices = make([]int32, 0, est)
-	out.Values = make([]float32, 0, est)
+	if m.Values != nil {
+		out.Values = make([]float32, 0, est)
+	}
 	for r := int32(0); r < m.NumRows; r++ {
 		ac, av := m.Row(r)
 		bc, bv := t.Row(r)
 		i, j := 0, 0
 		for i < len(ac) || j < len(bc) {
-			switch {
-			case j >= len(bc) || (i < len(ac) && ac[i] < bc[j]):
+			if j >= len(bc) || (i < len(ac) && ac[i] <= bc[j]) {
+				// A's entry comes first; on a tie it keeps A's value.
+				if j < len(bc) && ac[i] == bc[j] {
+					j++
+				}
 				out.ColIndices = append(out.ColIndices, ac[i])
-				out.Values = append(out.Values, av[i])
+				if av != nil {
+					out.Values = append(out.Values, av[i])
+				}
 				i++
-			case i >= len(ac) || bc[j] < ac[i]:
-				out.ColIndices = append(out.ColIndices, bc[j])
-				out.Values = append(out.Values, bv[j])
-				j++
-			default: // equal: keep A's value
-				out.ColIndices = append(out.ColIndices, ac[i])
-				out.Values = append(out.Values, av[i])
-				i++
-				j++
+				continue
 			}
+			out.ColIndices = append(out.ColIndices, bc[j])
+			if bv != nil {
+				out.Values = append(out.Values, bv[j])
+			}
+			j++
 		}
 		out.RowOffsets[r+1] = mustInt32(len(out.ColIndices))
 	}
@@ -238,7 +267,8 @@ func (m *CSR) Symmetrize() *CSR {
 // scatters the buckets back to their rows, visiting new columns in order,
 // so every output row comes out sorted. A row holds no duplicate column,
 // so the result is the one a per-row sort would give. Scratch is 8 bytes
-// per nonzero and 8 per row.
+// per nonzero and 8 per row. A pattern permutes to a pattern: both value
+// scatters are skipped, and scratch falls to 4 bytes per nonzero.
 func (m *CSR) PermuteSymmetric(p Permutation) *CSR {
 	if !m.IsSquare() {
 		panic("sparse: PermuteSymmetric requires a square matrix")
@@ -253,7 +283,12 @@ func (m *CSR) PermuteSymmetric(p Permutation) *CSR {
 		NumCols:    n,
 		RowOffsets: make([]int32, int(n)+1),
 		ColIndices: make([]int32, len(m.ColIndices)),
-		Values:     make([]float32, len(m.Values)),
+	}
+	// vals buckets the values beside rows; both stay nil for a pattern.
+	var vals []float32
+	if m.Values != nil {
+		out.Values = make([]float32, len(m.Values))
+		vals = make([]float32, len(m.Values))
 	}
 	// New row r holds old row inv[r]. RowOffsets[r+1] starts as row r's
 	// first slot and serves as its cursor in pass 2, which leaves it at
@@ -273,12 +308,13 @@ func (m *CSR) PermuteSymmetric(p Permutation) *CSR {
 	}
 	// Pass 1: each bucket lists its entries' new rows in ascending order.
 	rows := make([]int32, len(m.ColIndices))
-	vals := make([]float32, len(m.Values))
 	for r := int32(0); r < n; r++ {
 		for k := m.RowOffsets[inv[r]]; k < m.RowOffsets[inv[r]+1]; k++ {
 			cur := &colPos[p[m.ColIndices[k]]+1]
 			rows[*cur] = r
-			vals[*cur] = m.Values[k]
+			if vals != nil {
+				vals[*cur] = m.Values[k]
+			}
 			*cur++
 		}
 	}
@@ -287,7 +323,9 @@ func (m *CSR) PermuteSymmetric(p Permutation) *CSR {
 		for k := colPos[c]; k < colPos[c+1]; k++ {
 			cur := &out.RowOffsets[rows[k]+1]
 			out.ColIndices[*cur] = c
-			out.Values[*cur] = vals[k]
+			if vals != nil {
+				out.Values[*cur] = vals[k]
+			}
 			*cur++
 		}
 	}

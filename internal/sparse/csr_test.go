@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -203,11 +204,20 @@ func sameBits(a, b *CSR) bool {
 	return true
 }
 
+// permutesLikeOracle reports whether m and its pattern both permute as
+// the oracle does: m bit for bit, and its pattern to the oracle's pattern
+// with nil Values.
+func permutesLikeOracle(m *CSR, p Permutation) bool {
+	want := permuteOracle(m, p)
+	pat := m.Pattern().PermuteSymmetric(p)
+	return sameBits(m.PermuteSymmetric(p), want) && pat.Values == nil && pat.EqualPattern(want)
+}
+
 func TestPermuteSymmetricMatchesOracle(t *testing.T) {
 	check := func(name string, m *CSR, p Permutation) {
 		t.Helper()
-		if got, want := m.PermuteSymmetric(p), permuteOracle(m, p); !sameBits(got, want) {
-			t.Fatalf("%s: PermuteSymmetric %+v, oracle %+v", name, got, want)
+		if !permutesLikeOracle(m, p) {
+			t.Fatalf("%s: PermuteSymmetric of %+v or its pattern differs from the oracle %+v", name, m, permuteOracle(m, p))
 		}
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -232,9 +242,7 @@ func TestPermuteSymmetricMatchesOracle(t *testing.T) {
 				coo.Add(hub, c, float32(c))
 			}
 		}
-		m := coo.ToCSR()
-		p := randomPerm(rng, n)
-		return sameBits(m.PermuteSymmetric(p), permuteOracle(m, p))
+		return permutesLikeOracle(coo.ToCSR(), randomPerm(rng, n))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -242,6 +250,42 @@ func TestPermuteSymmetricMatchesOracle(t *testing.T) {
 	one := NewCOO(1, 1, 1)
 	one.Add(0, 0, 2)
 	check("1x1", one.ToCSR(), Identity(1))
+}
+
+// TestPatternCarriesThrough checks that a pattern view shares its
+// matrix's structure and that every operation documented to carry a
+// pattern returns the pattern of its valued result.
+func TestPatternCarriesThrough(t *testing.T) {
+	for name, m := range wireCorpus() {
+		pat := m.Pattern()
+		if pat.Values != nil || !pat.EqualPattern(m) || pat.Validate() != nil {
+			t.Fatalf("%s: Pattern() = %+v, not a valid pattern of %+v", name, pat, m)
+		}
+		if m.NNZ() > 0 && &pat.ColIndices[0] != &m.ColIndices[0] {
+			t.Fatalf("%s: Pattern copied ColIndices", name)
+		}
+		for r := int32(0); r < m.NumRows; r++ {
+			if cols, vals := pat.Row(r); vals != nil || len(cols) != int(m.RowLen(r)) {
+				t.Fatalf("%s: pattern row %d = %v, %v", name, r, cols, vals)
+			}
+		}
+		if tp := pat.Transpose(); tp.Values != nil || !tp.EqualPattern(m.Transpose()) {
+			t.Fatalf("%s: Transpose of the pattern = %+v", name, tp)
+		}
+		coo, want := CSRToCOO(pat), CSRToCOO(m)
+		if coo.Values != nil || !slices.Equal(coo.RowIdx, want.RowIdx) || !slices.Equal(coo.ColIdx, want.ColIdx) {
+			t.Fatalf("%s: CSRToCOO of the pattern = %+v, want the entries of %+v", name, coo, want)
+		}
+		if m.IsSquare() {
+			if sym := pat.Symmetrize(); sym.Values != nil || !sym.EqualPattern(m.Symmetrize()) {
+				t.Fatalf("%s: Symmetrize of the pattern = %+v", name, sym)
+			}
+		}
+	}
+	bad := &CSR{NumRows: 1, NumCols: 1, RowOffsets: []int32{0, 1}, ColIndices: []int32{0}, Values: []float32{}}
+	if bad.Validate() == nil {
+		t.Fatal("Validate accepted empty non-nil Values for one nonzero")
+	}
 }
 
 func TestPermuteSymmetricPreservesStructure(t *testing.T) {

@@ -48,13 +48,14 @@ func (ot OwnedTrace) Trace(emit func(dev int32, line int64)) {
 // which makes the map deterministic and independent of how many elements
 // share a line.
 type homeBuilder struct {
-	lineBytes int64
-	next      int64 // first unclaimed line
-	home      []int32
+	sh   uint  // line shift: byte address a lies on line a>>sh
+	next int64 // first unclaimed line
+	home []int32
 }
 
 func newHomeBuilder(end, lineBytes int64) *homeBuilder {
-	return &homeBuilder{lineBytes: lineBytes, home: make([]int32, end/lineBytes)}
+	sh := lineShift(lineBytes)
+	return &homeBuilder{sh: sh, home: make([]int32, end>>sh)}
 }
 
 // claim assigns dev to the not-yet-claimed lines covering the byte range
@@ -63,8 +64,8 @@ func (h *homeBuilder) claim(addr, bytes int64, dev int32) {
 	if bytes <= 0 {
 		return
 	}
-	lo := addr / h.lineBytes
-	hi := (addr + bytes - 1) / h.lineBytes
+	lo := addr >> h.sh
+	hi := (addr + bytes - 1) >> h.sh
 	if lo < h.next {
 		lo = h.next
 	}

@@ -92,11 +92,16 @@ func spgemmLayout(a, b *sparse.CSR, cRowNNZ []int32, lineBytes int64) (SpGEMMLay
 // CSR row's column indices are already distinct).
 func spgemmStream(a, b *sparse.CSR, l SpGEMMLayout, cOff []int64, tiles []community.Shard) generator {
 	// Base line of every array: the bases are line-aligned, so element i
-	// lies on line base + i*ElemBytes/lineBytes.
-	lineBytes := l.LineBytes
-	aRoB, aColB, aValB := l.ARowOff/lineBytes, l.ACol/lineBytes, l.AVal/lineBytes
-	bRoB, bColB, bValB := l.BRowOff/lineBytes, l.BCol/lineBytes, l.BVal/lineBytes
-	cRoB, cColB, cValB := l.CRowOff/lineBytes, l.CCol/lineBytes, l.CVal/lineBytes
+	// lies on line base + i*ElemBytes>>sh.
+	sh := lineShift(l.LineBytes)
+	aRoB, aColB, aValB := l.ARowOff>>sh, l.ACol>>sh, l.AVal>>sh
+	bRoB, bColB, bValB := l.BRowOff>>sh, l.BCol>>sh, l.BVal>>sh
+	cRoB, cColB, cValB := l.CRowOff>>sh, l.CCol>>sh, l.CVal>>sh
+	// C's column and value arrays spill one line at a time: consecutive
+	// elements share a line or sit on adjacent ones, except below
+	// ElemBytes-byte lines, where each element starts its own line cStep
+	// lines after the previous one.
+	cStep := max(1, int64(ElemBytes)>>sh)
 	return func(announce func(int32), emit func(int64)) {
 		aRoS := newStream(emit)
 		aColS := newStream(emit)
@@ -114,17 +119,18 @@ func spgemmStream(a, b *sparse.CSR, l SpGEMMLayout, cOff []int64, tiles []commun
 				if announce != nil {
 					announce(int32(row))
 				}
-				aRoS.access(aRoB + row*ElemBytes/lineBytes)
-				aRoS.access(aRoB + (row+1)*ElemBytes/lineBytes)
+				aRoS.access(aRoB + row*ElemBytes>>sh)
+				aRoS.access(aRoB + (row+1)*ElemBytes>>sh)
 				start, end := int64(a.RowOffsets[row]), int64(a.RowOffsets[row+1])
 				for i := start; i < end; i++ {
-					aColS.access(aColB + i*ElemBytes/lineBytes)
-					aValS.access(aValB + i*ElemBytes/lineBytes)
+					off := i * ElemBytes >> sh
+					aColS.access(aColB + off)
+					aValS.access(aValB + off)
 					k := int64(a.ColIndices[i])
 					// The B row dereference: two offset entries, then the
 					// row's column/value segments if not tile-resident.
-					emit(bRoB + k*ElemBytes/lineBytes)
-					emit(bRoB + (k+1)*ElemBytes/lineBytes)
+					emit(bRoB + k*ElemBytes>>sh)
+					emit(bRoB + (k+1)*ElemBytes>>sh)
 					if seen != nil {
 						if seen[k] == gen {
 							continue
@@ -135,10 +141,11 @@ func spgemmStream(a, b *sparse.CSR, l SpGEMMLayout, cOff []int64, tiles []commun
 					if be == bs {
 						continue
 					}
-					for ln, last := bColB+bs*ElemBytes/lineBytes, bColB+(be*ElemBytes-1)/lineBytes; ln <= last; ln++ {
+					first, last := bs*ElemBytes>>sh, (be*ElemBytes-1)>>sh
+					for ln := bColB + first; ln <= bColB+last; ln++ {
 						emit(ln)
 					}
-					for ln, last := bValB+bs*ElemBytes/lineBytes, bValB+(be*ElemBytes-1)/lineBytes; ln <= last; ln++ {
+					for ln := bValB + first; ln <= bValB+last; ln++ {
 						emit(ln)
 					}
 				}
@@ -148,11 +155,15 @@ func spgemmStream(a, b *sparse.CSR, l SpGEMMLayout, cOff []int64, tiles []commun
 				if announce != nil {
 					announce(int32(row))
 				}
-				cRoS.access(cRoB + row*ElemBytes/lineBytes)
-				cRoS.access(cRoB + (row+1)*ElemBytes/lineBytes)
-				for i := cOff[row]; i < cOff[row+1]; i++ {
-					cColS.access(cColB + i*ElemBytes/lineBytes)
-					cValS.access(cValB + i*ElemBytes/lineBytes)
+				cRoS.access(cRoB + row*ElemBytes>>sh)
+				cRoS.access(cRoB + (row+1)*ElemBytes>>sh)
+				cs, ce := cOff[row], cOff[row+1]
+				if ce == cs {
+					continue
+				}
+				for ln, last := cs*ElemBytes>>sh, (ce-1)*ElemBytes>>sh; ln <= last; ln += cStep {
+					cColS.access(cColB + ln)
+					cValS.access(cValB + ln)
 				}
 			}
 		}

@@ -7,10 +7,19 @@
 // once per touched cache line in program order, while the irregular input
 // vector (or dense B rows for SpMM) is referenced on every nonzero — the
 // access pattern whose locality matrix reordering improves.
+//
+// Line IDs are computed by shift, never by division: a byte address a lies
+// on line a>>s with s = log2 of the line size, so every generator takes a
+// power-of-two line size and panics on any other (cachesim.Config.Validate
+// rejects such a geometry first). Operands start on line boundaries, so
+// element i of an operand of e-byte elements at base line b lies on line
+// b + i*e>>s, and a contiguous run of elements (a B row, a spilled C row)
+// is walked one line at a time rather than one element at a time.
 package trace
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sparse"
 )
@@ -68,13 +77,23 @@ func newLayout(n, nnz, k, rowEntries, lineBytes int64) Layout {
 	return l
 }
 
-// lines returns the first line ID of each operand, in the field order of
-// Layout: Y, RowOff, Col, Val, X. Every base is line-aligned, so element
-// i of an operand of e-byte elements lies on line base + i*e/LineBytes.
-// Generators hold these in locals, so their per-access loops copy no
-// layout.
-func (l Layout) lines() (y, rowOff, col, val, x int64) {
-	return l.Y / l.LineBytes, l.RowOff / l.LineBytes, l.Col / l.LineBytes, l.Val / l.LineBytes, l.X / l.LineBytes
+// lines returns the layout's line shift sh = log2(LineBytes) and the
+// first line ID of each operand, in the field order of Layout: Y, RowOff,
+// Col, Val, X. Every base is line-aligned, so element i of an operand of
+// e-byte elements lies on line base + i*e>>sh. Generators hold these in
+// locals, so their per-access loops copy no layout and divide nothing.
+func (l Layout) lines() (sh uint, y, rowOff, col, val, x int64) {
+	sh = lineShift(l.LineBytes)
+	return sh, l.Y >> sh, l.RowOff >> sh, l.Col >> sh, l.Val >> sh, l.X >> sh
+}
+
+// lineShift returns log2(lineBytes), panicking unless lineBytes is a
+// positive power of two.
+func lineShift(lineBytes int64) uint {
+	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
+		panic(fmt.Sprintf("trace: line size %d is not a power of two", lineBytes))
+	}
+	return uint(bits.TrailingZeros64(uint64(lineBytes)))
 }
 
 // stream coalesces sequential accesses to one array: it emits when the
@@ -92,10 +111,16 @@ func newStream(emit func(int64)) *stream { return &stream{last: -1, emit: emit} 
 
 func (s *stream) access(line int64) {
 	if line != s.last {
-		s.last = line
-		s.emit(line)
-		s.emit(line)
+		s.fill(line)
 	}
+}
+
+// fill emits a new line twice. It is out of access so that the dedup
+// check inlines into the generator loops.
+func (s *stream) fill(line int64) {
+	s.last = line
+	s.emit(line)
+	s.emit(line)
 }
 
 // generator is a kernel's reference stream with row announcements: before
@@ -118,7 +143,7 @@ func SpMVCSR(m *sparse.CSR, lineBytes int64) func(emit func(int64)) {
 }
 
 func spmvCSR(m *sparse.CSR, lineBytes int64) generator {
-	yB, roB, colB, valB, xB := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes).lines()
+	sh, yB, roB, colB, valB, xB := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes).lines()
 	return func(announce func(int32), emit func(int64)) {
 		roS := newStream(emit)
 		colS := newStream(emit)
@@ -128,15 +153,16 @@ func spmvCSR(m *sparse.CSR, lineBytes int64) generator {
 			if announce != nil {
 				announce(int32(row))
 			}
-			roS.access(roB + row*ElemBytes/lineBytes)
-			roS.access(roB + (row+1)*ElemBytes/lineBytes)
+			roS.access(roB + row*ElemBytes>>sh)
+			roS.access(roB + (row+1)*ElemBytes>>sh)
 			start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
 			for i := start; i < end; i++ {
-				colS.access(colB + i*ElemBytes/lineBytes)
-				valS.access(valB + i*ElemBytes/lineBytes)
-				emit(xB + int64(m.ColIndices[i])*ElemBytes/lineBytes)
+				off := i * ElemBytes >> sh
+				colS.access(colB + off)
+				valS.access(valB + off)
+				emit(xB + int64(m.ColIndices[i])*ElemBytes>>sh)
 			}
-			yS.access(yB + row*ElemBytes/lineBytes)
+			yS.access(yB + row*ElemBytes>>sh)
 		}
 	}
 }
@@ -149,7 +175,7 @@ func SpMVCOO(c *sparse.COO, lineBytes int64) func(emit func(int64)) {
 }
 
 func spmvCOO(c *sparse.COO, lineBytes int64) generator {
-	yB, rowB, colB, valB, xB := NewLayoutCOO(int64(c.NumRows), int64(c.NNZ()), lineBytes).lines()
+	sh, yB, rowB, colB, valB, xB := NewLayoutCOO(int64(c.NumRows), int64(c.NNZ()), lineBytes).lines()
 	return func(announce func(int32), emit func(int64)) {
 		rowS := newStream(emit)
 		colS := newStream(emit)
@@ -159,12 +185,12 @@ func spmvCOO(c *sparse.COO, lineBytes int64) generator {
 			if announce != nil {
 				announce(r)
 			}
-			i := int64(k)
-			rowS.access(rowB + i*ElemBytes/lineBytes)
-			colS.access(colB + i*ElemBytes/lineBytes)
-			valS.access(valB + i*ElemBytes/lineBytes)
-			emit(xB + int64(c.ColIdx[k])*ElemBytes/lineBytes)
-			yS.access(yB + int64(r)*ElemBytes/lineBytes)
+			off := int64(k) * ElemBytes >> sh
+			rowS.access(rowB + off)
+			colS.access(colB + off)
+			valS.access(valB + off)
+			emit(xB + int64(c.ColIdx[k])*ElemBytes>>sh)
+			yS.access(yB + int64(r)*ElemBytes>>sh)
 		}
 	}
 }
@@ -181,7 +207,7 @@ func spmmCSR(m *sparse.CSR, k int64, lineBytes int64) generator {
 	if k < 1 {
 		panic(fmt.Sprintf("trace: SpMM with k = %d", k))
 	}
-	cB, roB, colB, valB, bB := NewLayout(int64(m.NumRows), int64(m.NNZ()), k, lineBytes).lines()
+	sh, cB, roB, colB, valB, bB := NewLayout(int64(m.NumRows), int64(m.NNZ()), k, lineBytes).lines()
 	rowBytes := k * ElemBytes
 	return func(announce func(int32), emit func(int64)) {
 		roS := newStream(emit)
@@ -192,21 +218,22 @@ func spmmCSR(m *sparse.CSR, k int64, lineBytes int64) generator {
 			if announce != nil {
 				announce(int32(row))
 			}
-			roS.access(roB + row*ElemBytes/lineBytes)
-			roS.access(roB + (row+1)*ElemBytes/lineBytes)
+			roS.access(roB + row*ElemBytes>>sh)
+			roS.access(roB + (row+1)*ElemBytes>>sh)
 			start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
 			for i := start; i < end; i++ {
-				colS.access(colB + i*ElemBytes/lineBytes)
-				valS.access(valB + i*ElemBytes/lineBytes)
+				off := i * ElemBytes >> sh
+				colS.access(colB + off)
+				valS.access(valB + off)
 				// Touch every line spanned by B's k-element row.
-				off := int64(m.ColIndices[i]) * rowBytes
-				for ln, last := bB+off/lineBytes, bB+(off+rowBytes-1)/lineBytes; ln <= last; ln++ {
+				bOff := int64(m.ColIndices[i]) * rowBytes
+				for ln, last := bB+bOff>>sh, bB+(bOff+rowBytes-1)>>sh; ln <= last; ln++ {
 					emit(ln)
 				}
 			}
 			// C row write streams across its spanned lines.
-			off := row * rowBytes
-			for ln, last := cB+off/lineBytes, cB+(off+rowBytes-1)/lineBytes; ln <= last; ln++ {
+			cOff := row * rowBytes
+			for ln, last := cB+cOff>>sh, cB+(cOff+rowBytes-1)>>sh; ln <= last; ln++ {
 				cS.access(ln)
 			}
 		}

@@ -22,6 +22,22 @@ func distinct(lines []int64) map[int64]bool {
 	return d
 }
 
+// TestLineSizeMustBePowerOfTwo pins that a generator refuses a line size
+// it cannot shift by, at construction rather than mid-stream.
+func TestLineSizeMustBePowerOfTwo(t *testing.T) {
+	m := gen.ErdosRenyi{Nodes: 64, AvgDegree: 4}.Generate(1)
+	for _, line := range []int64{96, 0, -128} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SpMVCSR accepted line size %d", line)
+				}
+			}()
+			SpMVCSR(m, line)
+		}()
+	}
+}
+
 func TestLayoutNonOverlapping(t *testing.T) {
 	l := NewLayout(1000, 5000, 1, 128)
 	bounds := []int64{l.Y, l.RowOff, l.Col, l.Val, l.X, l.End}

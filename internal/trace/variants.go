@@ -15,7 +15,7 @@ func SpMVCSRInterleaved(m *sparse.CSR, lineBytes int64, groups int32) func(emit 
 	if groups < 1 {
 		groups = 1
 	}
-	yB, roB, colB, valB, xB := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes).lines()
+	sh, yB, roB, colB, valB, xB := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes).lines()
 	return func(emit func(int64)) {
 		// Per-group streams: each group walks its own row subsequence, so
 		// streaming coalescing happens per group, as it would per SM.
@@ -47,15 +47,16 @@ func SpMVCSRInterleaved(m *sparse.CSR, lineBytes int64, groups int32) func(emit 
 				row := cu.row
 				cu.row += int64(groups)
 				remaining--
-				cu.roS.access(roB + row*ElemBytes/lineBytes)
-				cu.roS.access(roB + (row+1)*ElemBytes/lineBytes)
+				cu.roS.access(roB + row*ElemBytes>>sh)
+				cu.roS.access(roB + (row+1)*ElemBytes>>sh)
 				start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
 				for i := start; i < end; i++ {
-					cu.colS.access(colB + i*ElemBytes/lineBytes)
-					cu.valS.access(valB + i*ElemBytes/lineBytes)
-					emit(xB + int64(m.ColIndices[i])*ElemBytes/lineBytes)
+					off := i * ElemBytes >> sh
+					cu.colS.access(colB + off)
+					cu.valS.access(valB + off)
+					emit(xB + int64(m.ColIndices[i])*ElemBytes>>sh)
 				}
-				cu.yS.access(yB + row*ElemBytes/lineBytes)
+				cu.yS.access(yB + row*ElemBytes>>sh)
 			}
 		}
 	}
@@ -72,7 +73,7 @@ func SpMVCSRTiled(m *sparse.CSR, lineBytes int64, tileCols int32) func(emit func
 	if tileCols <= 0 {
 		tileCols = m.NumCols
 	}
-	yB, roB, colB, valB, xB := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes).lines()
+	sh, yB, roB, colB, valB, xB := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes).lines()
 	return func(emit func(int64)) {
 		for tileLo := int32(0); tileLo < m.NumCols || tileLo == 0; tileLo += tileCols {
 			tileHi := tileLo + tileCols
@@ -81,8 +82,8 @@ func SpMVCSRTiled(m *sparse.CSR, lineBytes int64, tileCols int32) func(emit func
 			valS := newStream(emit)
 			yS := newStream(emit)
 			for row := int64(0); row < int64(m.NumRows); row++ {
-				roS.access(roB + row*ElemBytes/lineBytes)
-				roS.access(roB + (row+1)*ElemBytes/lineBytes)
+				roS.access(roB + row*ElemBytes>>sh)
+				roS.access(roB + (row+1)*ElemBytes>>sh)
 				start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
 				touched := false
 				for i := start; i < end; i++ {
@@ -94,13 +95,14 @@ func SpMVCSRTiled(m *sparse.CSR, lineBytes int64, tileCols int32) func(emit func
 					// its nonzeros (as compressed tiled formats do per
 					// tile after preprocessing, we charge only the
 					// touched entries).
-					colS.access(colB + i*ElemBytes/lineBytes)
-					valS.access(valB + i*ElemBytes/lineBytes)
-					emit(xB + int64(c)*ElemBytes/lineBytes)
+					off := i * ElemBytes >> sh
+					colS.access(colB + off)
+					valS.access(valB + off)
+					emit(xB + int64(c)*ElemBytes>>sh)
 					touched = true
 				}
 				if touched {
-					yS.access(yB + row*ElemBytes/lineBytes)
+					yS.access(yB + row*ElemBytes>>sh)
 				}
 			}
 			if m.NumCols == 0 {
@@ -119,21 +121,22 @@ func SpMVCSRTiled(m *sparse.CSR, lineBytes int64, tileCols int32) func(emit func
 func SpMVCSC(m *sparse.CSR, lineBytes int64) func(emit func(int64)) {
 	// The CSC of m has the same array shapes as the CSR of mᵀ.
 	t := m.Transpose()
-	yB, coB, rowB, valB, xB := NewLayout(int64(t.NumRows), int64(t.NNZ()), 1, lineBytes).lines()
+	sh, yB, coB, rowB, valB, xB := NewLayout(int64(t.NumRows), int64(t.NNZ()), 1, lineBytes).lines()
 	return func(emit func(int64)) {
 		coS := newStream(emit)
 		rowS := newStream(emit)
 		valS := newStream(emit)
 		xS := newStream(emit)
 		for col := int64(0); col < int64(t.NumRows); col++ {
-			coS.access(coB + col*ElemBytes/lineBytes)
-			coS.access(coB + (col+1)*ElemBytes/lineBytes)
-			xS.access(xB + col*ElemBytes/lineBytes)
+			coS.access(coB + col*ElemBytes>>sh)
+			coS.access(coB + (col+1)*ElemBytes>>sh)
+			xS.access(xB + col*ElemBytes>>sh)
 			start, end := int64(t.RowOffsets[col]), int64(t.RowOffsets[col+1])
 			for i := start; i < end; i++ {
-				rowS.access(rowB + i*ElemBytes/lineBytes)
-				valS.access(valB + i*ElemBytes/lineBytes)
-				emit(yB + int64(t.ColIndices[i])*ElemBytes/lineBytes)
+				off := i * ElemBytes >> sh
+				rowS.access(rowB + off)
+				valS.access(valB + off)
+				emit(yB + int64(t.ColIndices[i])*ElemBytes>>sh)
 			}
 		}
 	}
