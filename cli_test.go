@@ -161,6 +161,9 @@ func TestCLIErrors(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(res), "line size 96") {
 		t.Fatalf("cachesim -line 96: err=%v, want exit 1 naming line size 96:\n%s", err, res)
 	}
+	if strings.Contains(string(res), "cachesim: cachesim:") {
+		t.Fatalf("cachesim -line 96 doubled its error prefix:\n%s", res)
+	}
 }
 
 // TestCLISpGEMM drives the spgemm binary: row-wise and cluster-wise

@@ -45,7 +45,8 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "cachesim:", err)
+		// Errors from package cachesim already carry the prefix.
+		fmt.Fprintln(os.Stderr, "cachesim:", strings.TrimPrefix(err.Error(), "cachesim: "))
 		os.Exit(1)
 	}
 }

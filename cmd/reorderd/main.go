@@ -262,6 +262,11 @@ func runSmoke(cfg serve.Config) error {
 	if status != http.StatusOK || !rejob.StoreHit {
 		return fmt.Errorf("job resubmit was not a store hit (status %d, store_hit %v)", status, rejob.StoreHit)
 	}
+	// A binary body is keyed by its bytes, so one byte past its declared
+	// sections is refused, never answered from the stored job.
+	if _, status, _ = postJob(base, append(bin.Bytes(), 0)); status != http.StatusBadRequest {
+		return fmt.Errorf("binary body with a trailing byte: status %d, want 400", status)
+	}
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {

@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/sparse"
 )
 
 // forwardHeader marks a request already routed by a peer. A forwarded
@@ -188,23 +190,24 @@ func (s *Server) writeJob(w http.ResponseWriter, status int, snap jobSnapshot, s
 	if snap.Err != nil {
 		resp.Error = snap.Err.Error()
 	}
+	var perm sparse.Permutation
 	if snap.Status == jobDone && snap.Res != nil {
 		resp.Result = &reorderResponse{
-			Technique:   snap.Technique,
-			Rows:        snap.Res.Rows,
-			Cols:        snap.Res.Cols,
-			NNZ:         snap.Res.NNZ,
-			Digest:      snap.Res.Digest,
-			Cached:      true,
-			ComputeMS:   snap.Res.ComputeMS,
-			Permutation: snap.Res.Perm,
-			Quality:     snap.Res.Quality,
+			Technique: snap.Technique,
+			Rows:      snap.Res.Rows,
+			Cols:      snap.Res.Cols,
+			NNZ:       snap.Res.NNZ,
+			Digest:    snap.Res.Digest,
+			Cached:    true,
+			ComputeMS: snap.Res.ComputeMS,
+			Quality:   snap.Res.Quality,
 		}
+		perm = snap.Res.Perm
 	}
 	if status == http.StatusAccepted {
 		w.Header().Set("Location", "/jobs/"+snap.ID)
 	}
-	s.writeJSON(w, status, resp)
+	s.writePermuted(w, status, resp, perm)
 }
 
 // forward proxies the request to the owning peer, marking it with

@@ -185,7 +185,8 @@ type advisorInfo struct {
 	Ranked     []advisor.Scored `json:"ranked"`
 }
 
-// reorderResponse is the /reorder JSON body.
+// reorderResponse is the /reorder JSON body. Handlers leave Permutation
+// nil and hand the permutation to writePermuted.
 type reorderResponse struct {
 	Technique   string             `json:"technique"`
 	Matrix      string             `json:"matrix,omitempty"`
@@ -339,27 +340,27 @@ func (s *Server) handleReorder(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, snap.Err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, reorderResponse{
-		Technique:   a.techName,
-		Matrix:      a.matrix,
-		Rows:        snap.Res.Rows,
-		Cols:        snap.Res.Cols,
-		NNZ:         snap.Res.NNZ,
-		Digest:      snap.Res.Digest,
-		Cached:      cached,
-		ElapsedMS:   float64(time.Since(started)) / float64(time.Millisecond),
-		ComputeMS:   snap.Res.ComputeMS,
-		Permutation: snap.Res.Perm,
-		Quality:     snap.Res.Quality,
-		Advisor:     a.advisor,
-	})
+	s.writePermuted(w, http.StatusOK, reorderResponse{
+		Technique: a.techName,
+		Matrix:    a.matrix,
+		Rows:      snap.Res.Rows,
+		Cols:      snap.Res.Cols,
+		NNZ:       snap.Res.NNZ,
+		Digest:    snap.Res.Digest,
+		Cached:    cached,
+		ElapsedMS: float64(time.Since(started)) / float64(time.Millisecond),
+		ComputeMS: snap.Res.ComputeMS,
+		Quality:   snap.Res.Quality,
+		Advisor:   a.advisor,
+	}, snap.Res.Perm)
 }
 
 // admission is a request that passed the front half both endpoints
 // share: its matrix, the concrete technique to run and its job's ID.
 type admission struct {
-	m        *sparse.CSR
-	matrix   string // corpus name; empty for uploads
+	m        *sparse.CSR // nil while upload holds an undecoded binary body
+	upload   []byte      // a checked binary body until csr decodes it
+	matrix   string      // corpus name; empty for uploads
 	digest   string
 	tech     reorder.OrdererCtx
 	techName string
@@ -404,20 +405,13 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 		}
 	}
 
-	m, name, raw, err := s.requestMatrix(w, r)
+	// One SHA-256 pass per request: the digest routes the request and keys
+	// the job store, the feature cache and the quality cache alike.
+	raw, err := s.ingest(w, r, a)
 	if err != nil {
 		s.fail(w, badRequest{err})
 		return nil
 	}
-	if !m.IsSquare() {
-		s.fail(w, badRequest{fmt.Errorf("serve: reordering requires a square matrix, got %dx%d", m.NumRows, m.NumCols)})
-		return nil
-	}
-	a.m, a.matrix = m, name
-
-	// One SHA-256 pass per request: the digest routes the request and keys
-	// the job store, the feature cache and the quality cache alike.
-	a.digest = m.Digest()
 	digestHex := strings.TrimPrefix(a.digest, "sha256:")
 	if !s.ring.isSelf(digestHex) && r.Header.Get(forwardHeader) == "" {
 		s.forward(w, r, s.ring.owner(digestHex), raw)
@@ -427,7 +421,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 	if auto {
 		// The owner (not the entry peer) runs the advisor so the
 		// digest-keyed feature cache accumulates where the matrix lives.
-		rec, err := s.advise(ctx, m, a.digest)
+		rec, err := s.advise(ctx, a)
 		if err != nil {
 			s.fail(w, err)
 			return nil
@@ -479,12 +473,17 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	s.writeError(w, status, err)
 }
 
-// advise returns the advisor's recommendation for the matrix, serving the
-// feature vector from the digest-keyed cache when the matrix has been
-// profiled before (the extraction, not the model, is the expensive part).
-func (s *Server) advise(ctx context.Context, m *sparse.CSR, digest string) (advisor.Recommendation, error) {
-	if v, ok := s.features.get(digest); ok {
+// advise returns the advisor's recommendation for the admitted matrix,
+// serving the feature vector from the digest-keyed cache when the matrix
+// has been profiled before (the extraction, not the model, is the
+// expensive part).
+func (s *Server) advise(ctx context.Context, a *admission) (advisor.Recommendation, error) {
+	if v, ok := s.features.get(a.digest); ok {
 		return advisor.Recommend(advisor.DefaultModel(), v.(advisor.Features)), nil
+	}
+	m, err := a.csr()
+	if err != nil {
+		return advisor.Recommendation{}, err
 	}
 	start := time.Now()
 	f, err := advisor.FeaturesCtx(ctx, m)
@@ -492,7 +491,7 @@ func (s *Server) advise(ctx context.Context, m *sparse.CSR, digest string) (advi
 		return advisor.Recommendation{}, err
 	}
 	s.metrics.observeFeatures(time.Since(start))
-	s.features.put(digest, f)
+	s.features.put(a.digest, f)
 	return advisor.Recommend(advisor.DefaultModel(), f), nil
 }
 
@@ -500,51 +499,120 @@ func (s *Server) advise(ctx context.Context, m *sparse.CSR, digest string) (advi
 // 404 rather than 400.
 var errUnknownMatrix = errors.New("serve: unknown corpus matrix")
 
-// requestMatrix produces the request's matrix: a corpus reference via
-// ?matrix=<name>, or an uploaded body bounded by the configured byte and
-// dimension limits. The upload format is negotiated by Content-Type —
-// sparse.BinaryCSRContentType selects the binary CSR codec, anything else
-// parses as MatrixMarket text. The raw upload bytes are returned alongside
-// so the sharding layer can forward a request without re-encoding.
-func (s *Server) requestMatrix(w http.ResponseWriter, r *http.Request) (*sparse.CSR, string, []byte, error) {
+// ingest loads the request's matrix into a and sets its digest: a corpus
+// reference via ?matrix=<name>, or an uploaded body bounded by the
+// configured byte and dimension limits. The upload format is negotiated by
+// Content-Type — sparse.BinaryCSRContentType selects the binary CSR codec,
+// anything else parses as MatrixMarket text. A binary body is only
+// checked here, and its digest is the SHA-256 of its bytes; csr decodes it
+// if a miss needs the matrix. MatrixMarket text has no canonical form, so
+// it is parsed and digested from its content. The raw upload is returned
+// so the sharding layer can forward it as it came.
+func (s *Server) ingest(w http.ResponseWriter, r *http.Request, a *admission) ([]byte, error) {
 	if name := r.URL.Query().Get("matrix"); name != "" {
 		preset := s.cfg.Preset
 		if p := r.URL.Query().Get("preset"); p != "" {
 			var err error
 			if preset, err = gen.ParsePreset(p); err != nil {
-				return nil, "", nil, err
+				return nil, err
 			}
 		}
 		m, err := s.matrices.get(name, preset)
 		if err != nil {
-			return nil, "", nil, fmt.Errorf("%w: %q", errUnknownMatrix, name)
+			return nil, fmt.Errorf("%w: %q", errUnknownMatrix, name)
 		}
-		return m, name, nil, nil
+		a.matrix = name
+		return nil, a.setMatrix(m)
 	}
 	if r.Body == nil || r.Method == http.MethodGet {
-		return nil, "", nil, errors.New("serve: POST a matrix body or pass ?matrix=<corpus name>")
+		return nil, errors.New("serve: POST a matrix body or pass ?matrix=<corpus name>")
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	defer body.Close()
-	raw, err := io.ReadAll(body)
+	raw, err := s.readBody(w, r)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
 	limits := sparse.MMLimits{
 		MaxRows:    s.cfg.MaxRows,
 		MaxCols:    s.cfg.MaxRows,
 		MaxEntries: s.cfg.MaxEntries,
 	}
-	var m *sparse.CSR
-	if uploadIsBinary(r.Header.Get("Content-Type")) {
-		m, err = sparse.ReadBinaryCSRLimited(bytes.NewReader(raw), limits)
-	} else {
-		m, err = sparse.ReadMatrixMarketLimited(bytes.NewReader(raw), limits)
+	if !uploadIsBinary(r.Header.Get("Content-Type")) {
+		m, err := sparse.ReadMatrixMarketLimited(bytes.NewReader(raw), limits)
+		if err != nil {
+			return nil, err
+		}
+		return raw, a.setMatrix(m)
 	}
+	body, err := sparse.CheckBinaryCSR(raw, limits)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
-	return m, "", raw, nil
+	if err := squareOnly(body.Rows, body.Cols); err != nil {
+		return nil, err
+	}
+	a.upload, a.digest = raw, body.Digest()
+	return raw, nil
+}
+
+// readBody reads the whole upload through MaxBytesReader, so an oversized
+// body still gets 413. A body that declares its length n fills a buffer
+// that starts at min(n, 1 MiB) and doubles, up to exactly n, only once
+// the bytes received have filled it: a body of at most 1 MiB takes one
+// allocation, and a client that declares a large body and stalls pins
+// no more than 1 MiB or twice what it sent, not what it declared. Only a
+// chunked body, or one declared past the limit, grows through io.ReadAll.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	defer body.Close()
+	n := r.ContentLength
+	if n < 0 || n > s.cfg.MaxBodyBytes {
+		return io.ReadAll(body)
+	}
+	raw := make([]byte, 0, min(n, 1<<20))
+	for {
+		k, err := io.ReadFull(body, raw[len(raw):cap(raw)])
+		raw = raw[:len(raw)+k]
+		if err != nil {
+			return nil, err
+		}
+		if int64(len(raw)) == n {
+			return raw, nil
+		}
+		grown := make([]byte, len(raw), min(n, 2*int64(len(raw))))
+		copy(grown, raw)
+		raw = grown
+	}
+}
+
+// setMatrix admits a decoded matrix and digests its content.
+func (a *admission) setMatrix(m *sparse.CSR) error {
+	if err := squareOnly(m.NumRows, m.NumCols); err != nil {
+		return err
+	}
+	a.m, a.digest = m, m.Digest()
+	return nil
+}
+
+// csr returns the admitted matrix, decoding a binary upload the first time
+// a miss needs it. The body is dropped once decoded, so neither the
+// admission nor a queued job keeps it.
+func (a *admission) csr() (*sparse.CSR, error) {
+	if a.m == nil {
+		m, err := sparse.ReadBinaryCSR(bytes.NewReader(a.upload))
+		if err != nil {
+			return nil, badRequest{err}
+		}
+		a.m, a.upload = m, nil
+	}
+	return a.m, nil
+}
+
+// squareOnly refuses a matrix that is not square: reordering is symmetric.
+func squareOnly(rows, cols int32) error {
+	if rows != cols {
+		return fmt.Errorf("serve: reordering requires a square matrix, got %dx%d", rows, cols)
+	}
+	return nil
 }
 
 // uploadIsBinary reports whether the Content-Type selects the binary CSR
@@ -557,19 +625,23 @@ func uploadIsBinary(contentType string) bool {
 	return strings.EqualFold(strings.TrimSpace(mt), sparse.BinaryCSRContentType)
 }
 
-// start runs j's computation on the worker pool. The pool refusing it
-// (429 when saturated, 503 when draining) drops j from the store and
-// completes it with the refusal, so every request that joined it in the
-// meantime sees the same error.
+// start runs j's computation on the worker pool, decoding a binary
+// upload first. A body that does not decode (400) or the pool refusing
+// the job (429 when saturated, 503 when draining) drops j from the store
+// and completes it with that error, so every request that joined it in
+// the meantime sees the same error.
 func (s *Server) start(j *storedJob, a *admission) error {
-	err := s.pool.trySubmit(func() {
-		defer j.cancel()
-		s.store.setRunning(j)
-		ctx, cancel := context.WithTimeout(j.ctx, s.cfg.MaxJobTime)
-		defer cancel()
-		res, err := s.runJob(ctx, a.tech, a.m, a.digest, a.quality)
-		s.store.complete(j, res, err)
-	})
+	m, err := a.csr()
+	if err == nil {
+		err = s.pool.trySubmit(func() {
+			defer j.cancel()
+			s.store.setRunning(j)
+			ctx, cancel := context.WithTimeout(j.ctx, s.cfg.MaxJobTime)
+			defer cancel()
+			res, err := s.runJob(ctx, a.tech, m, a.digest, a.quality)
+			s.store.complete(j, res, err)
+		})
+	}
 	if err != nil {
 		j.cancel()
 		s.store.remove(j)
@@ -644,12 +716,55 @@ func (s *Server) qualityFor(ctx context.Context, digest string, m *sparse.CSR, r
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	s.writePermuted(w, status, v, nil)
+}
+
+// writePermuted answers with what json.NewEncoder(w).Encode writes for v
+// with perm in its one permutation field, which must be nil in v: it
+// encodes v and then writes perm with strconv.AppendInt in place of the
+// field's null, because encoding/json walks a []int32 by reflection and
+// re-compacts what a json.Marshaler returns. A nil perm leaves the null.
+func (s *Server) writePermuted(w http.ResponseWriter, status int, v any, perm sparse.Permutation) {
+	b, err := json.Marshal(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	// Encoding errors past the header are connection-level; nothing
-	// useful remains to send the client.
-	_ = enc.Encode(v)
+	if err != nil {
+		// Encode writes nothing for a value it cannot encode, and the
+		// status is already sent.
+		return
+	}
+	if perm != nil {
+		b = splicePermutation(b, perm)
+	}
+	// Write errors past the header are connection-level; nothing useful
+	// remains to send the client.
+	_, _ = w.Write(append(b, '\n'))
+}
+
+// splicePermutation returns env with perm in place of its
+// "permutation":null. JSON escapes every quote inside a string, so the
+// first match is the field's own key.
+func splicePermutation(env []byte, perm sparse.Permutation) []byte {
+	const key = `"permutation":`
+	at := bytes.Index(env, []byte(key+"null"))
+	if at < 0 {
+		panic("serve: writePermuted needs a value whose permutation is nil")
+	}
+	at += len(key)
+	// The entries of a permutation of n rows are below n, so none has more
+	// digits than n; the bound also covers the final newline.
+	width := len(strconv.Itoa(len(perm))) + 1
+	b := make([]byte, 0, len(env)+width*len(perm)+2)
+	b = append(b, env[:at]...)
+	b = append(b, '[')
+	for i, v := range perm {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	b = append(b, ']')
+	return append(b, env[at+len("null"):]...)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {

@@ -22,11 +22,11 @@ import (
 //
 // A CSR with nil Values is a pattern: the nonzero structure alone, for
 // consumers that read no value, such as the trace generators and the
-// structural statistics. Pattern makes one as a view of a valued matrix;
-// PermuteSymmetric, Transpose, Symmetrize, CSRToCOO and Row carry a
-// pattern through, and Validate accepts one. Operations that read or copy
-// values (the kernels, Equal, Clone, MaskRowsCols, the writers) need a
-// valued matrix.
+// structural statistics. Pattern makes one as a view of a valued matrix,
+// and Symmetrize always returns one; PermuteSymmetric, Transpose,
+// CSRToCOO and Row carry a pattern through, and Validate accepts one.
+// Operations that read or copy values (the kernels, Equal, Clone,
+// MaskRowsCols, the writers) need a valued matrix.
 type CSR struct {
 	NumRows    int32     // row count; RowOffsets has NumRows+1 entries
 	NumCols    int32     // column count; every ColIndices entry is < NumCols
@@ -207,49 +207,37 @@ func (m *CSR) IsPatternSymmetric() bool {
 	return m.EqualPattern(m.Transpose())
 }
 
-// Symmetrize returns A ∪ Aᵀ as a new matrix: the pattern is the union of the
-// pattern and its transpose, and coincident entries keep the value from A
-// (transposed-only entries take the transposed value); a pattern
-// symmetrizes to a pattern. Matrix reordering techniques that perform
-// community detection treat the matrix as an undirected graph, which is
-// exactly the symmetrized pattern.
+// Symmetrize returns the pattern of A ∪ Aᵀ as a new matrix: the union of
+// the pattern and its transpose, with nil Values. Matrix reordering
+// techniques that perform community detection treat the matrix as an
+// undirected graph, which is exactly the symmetrized pattern, and none of
+// them reads a value.
 func (m *CSR) Symmetrize() *CSR {
 	if !m.IsSquare() {
 		panic("sparse: Symmetrize requires a square matrix")
 	}
-	t := m.Transpose()
+	t := m.Pattern().Transpose()
 	out := &CSR{
 		NumRows:    m.NumRows,
 		NumCols:    m.NumCols,
 		RowOffsets: make([]int32, int(m.NumRows)+1),
+		ColIndices: make([]int32, 0, len(m.ColIndices)+len(t.ColIndices)),
 	}
 	// Merge the sorted rows of m and t.
-	est := len(m.ColIndices) + len(t.ColIndices)
-	out.ColIndices = make([]int32, 0, est)
-	if m.Values != nil {
-		out.Values = make([]float32, 0, est)
-	}
 	for r := int32(0); r < m.NumRows; r++ {
-		ac, av := m.Row(r)
-		bc, bv := t.Row(r)
+		ac, _ := m.Row(r)
+		bc, _ := t.Row(r)
 		i, j := 0, 0
 		for i < len(ac) || j < len(bc) {
 			if j >= len(bc) || (i < len(ac) && ac[i] <= bc[j]) {
-				// A's entry comes first; on a tie it keeps A's value.
 				if j < len(bc) && ac[i] == bc[j] {
 					j++
 				}
 				out.ColIndices = append(out.ColIndices, ac[i])
-				if av != nil {
-					out.Values = append(out.Values, av[i])
-				}
 				i++
 				continue
 			}
 			out.ColIndices = append(out.ColIndices, bc[j])
-			if bv != nil {
-				out.Values = append(out.Values, bv[j])
-			}
 			j++
 		}
 		out.RowOffsets[r+1] = mustInt32(len(out.ColIndices))

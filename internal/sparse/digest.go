@@ -13,7 +13,9 @@ import (
 // hash collisions), independent of how they were constructed, which makes
 // the digest a safe cache key for (matrix × technique) reordering results:
 // every technique in this repository is a deterministic function of the
-// CSR content, so digest equality implies permutation equality.
+// CSR content, so digest equality implies permutation equality. For a
+// valued matrix the hashed stream is its binary CSR encoding from byte 8
+// on, so BinaryCSRBody.Digest finds the same value from an upload's bytes.
 func (m *CSR) Digest() string {
 	h := sha256.New()
 	var hdr [16]byte

@@ -2,7 +2,9 @@ package sparse
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -25,12 +27,15 @@ import (
 //	...     4*nnz           column indices (int32 each)
 //	...     4*nnz           values (IEEE-754 float32 bits each)
 //
-// The payload is exactly the CSR arrays Digest hashes, so a matrix
-// round-tripped through this format keeps its content digest — the
-// property that makes the binary upload path share reorderd's
-// digest-keyed caches with the MatrixMarket path. ReadBinaryCSR
-// validates the decoded matrix with Validate, so malformed offsets,
-// out-of-range columns, or unsorted rows are rejected, not propagated.
+// From byte 8 on, a stream is byte for byte what Digest hashes, so a
+// matrix round-tripped through this format keeps its content digest, and
+// a body held in memory hashes to that digest without being decoded
+// (BinaryCSRBody.Digest) — the property that lets reorderd key a binary
+// upload by its bytes and share its digest-keyed caches with the
+// MatrixMarket path. Every reader checks the header the same way
+// (parseBinaryCSRHeader) and validates the decoded matrix with Validate,
+// so malformed offsets, out-of-range columns, or unsorted rows are
+// rejected, not propagated.
 
 // BinaryCSRContentType is the media type reorderd accepts for binary CSR
 // uploads; any other Content-Type falls back to MatrixMarket text.
@@ -53,9 +58,15 @@ var (
 	ErrBadMagic = errors.New("sparse: not a binary CSR stream (bad magic)")
 	// ErrBadVersion is returned for a version other than BinaryCSRVersion.
 	ErrBadVersion = errors.New("sparse: unsupported binary CSR version")
+	// ErrBadHeader is returned for a header with reserved flags set,
+	// negative dimensions, or an nnz past int32 indexing.
+	ErrBadHeader = errors.New("sparse: malformed binary CSR header")
 	// ErrTruncated is returned when the stream ends before the
 	// header-declared section lengths are satisfied.
 	ErrTruncated = errors.New("sparse: truncated binary CSR stream")
+	// ErrTrailingBytes is returned by CheckBinaryCSR for a body longer
+	// than its header declares.
+	ErrTrailingBytes = errors.New("sparse: binary CSR body runs past its declared sections")
 )
 
 // BinaryCSRSize returns the exact encoded length of the matrix in bytes:
@@ -115,51 +126,33 @@ func ReadBinaryCSR(r io.Reader) (*CSR, error) {
 // error before any dimension-proportional allocation — the same contract
 // as ReadMatrixMarketLimited. Short streams fail with ErrTruncated;
 // allocation tracks bytes actually read, so an absurd declared size in a
-// tiny body cannot force a large allocation even with zero limits.
+// tiny body cannot force a large allocation even with zero limits. It
+// reads one matrix and leaves whatever follows it in r unread.
 func ReadBinaryCSRLimited(r io.Reader, limits MMLimits) (*CSR, error) {
 	var hdr [binaryCSRHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: reading header: %v", ErrTruncated, err)
 	}
-	if string(hdr[0:4]) != binaryCSRMagic {
-		return nil, fmt.Errorf("%w: got % x", ErrBadMagic, hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != BinaryCSRVersion {
-		return nil, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, v, BinaryCSRVersion)
-	}
-	if f := binary.LittleEndian.Uint16(hdr[6:8]); f != 0 {
-		return nil, fmt.Errorf("sparse: binary CSR reserved flags 0x%04x must be 0", f)
-	}
-	rows := int32(binary.LittleEndian.Uint32(hdr[8:12]))
-	cols := int32(binary.LittleEndian.Uint32(hdr[12:16]))
-	nnz64 := binary.LittleEndian.Uint64(hdr[16:24])
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("sparse: binary CSR negative dimensions %dx%d", rows, cols)
-	}
-	if nnz64 > math.MaxInt32 {
-		return nil, fmt.Errorf("sparse: binary CSR nnz %d overflows int32 indexing", nnz64)
-	}
-	nnz := int(nnz64)
-	if err := limits.check(rows, cols, nnz); err != nil {
+	h, err := parseBinaryCSRHeader(hdr[:], limits)
+	if err != nil {
 		return nil, err
 	}
-
 	buf := make([]byte, 1<<16)
-	rowOffsets, err := readInt32Section(r, buf, int(rows)+1, "row offsets")
+	rowOffsets, err := readInt32Section(r, buf, int(h.rows)+1, "row offsets")
 	if err != nil {
 		return nil, err
 	}
-	colIndices, err := readInt32Section(r, buf, nnz, "column indices")
+	colIndices, err := readInt32Section(r, buf, h.nnz, "column indices")
 	if err != nil {
 		return nil, err
 	}
-	values, err := readFloat32Section(r, buf, nnz, "values")
+	values, err := readFloat32Section(r, buf, h.nnz, "values")
 	if err != nil {
 		return nil, err
 	}
 	m := &CSR{
-		NumRows:    rows,
-		NumCols:    cols,
+		NumRows:    h.rows,
+		NumCols:    h.cols,
 		RowOffsets: rowOffsets,
 		ColIndices: colIndices,
 		Values:     values,
@@ -168,6 +161,81 @@ func ReadBinaryCSRLimited(r io.Reader, limits MMLimits) (*CSR, error) {
 		return nil, fmt.Errorf("sparse: binary CSR payload invalid: %w", err)
 	}
 	return m, nil
+}
+
+// binaryCSRHeader is a header parseBinaryCSRHeader accepted.
+type binaryCSRHeader struct {
+	rows, cols int32
+	nnz        int
+}
+
+// parseBinaryCSRHeader checks the fixed header — magic, version, reserved
+// flags, signs and the limits — for every reader of the format.
+func parseBinaryCSRHeader(hdr []byte, limits MMLimits) (binaryCSRHeader, error) {
+	if string(hdr[0:4]) != binaryCSRMagic {
+		return binaryCSRHeader{}, fmt.Errorf("%w: got % x", ErrBadMagic, hdr[0:4])
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != BinaryCSRVersion {
+		return binaryCSRHeader{}, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, v, BinaryCSRVersion)
+	}
+	if f := binary.LittleEndian.Uint16(hdr[6:8]); f != 0 {
+		return binaryCSRHeader{}, fmt.Errorf("%w: reserved flags 0x%04x must be 0", ErrBadHeader, f)
+	}
+	rows := int32(binary.LittleEndian.Uint32(hdr[8:12]))
+	cols := int32(binary.LittleEndian.Uint32(hdr[12:16]))
+	nnz64 := binary.LittleEndian.Uint64(hdr[16:24])
+	if rows < 0 || cols < 0 {
+		return binaryCSRHeader{}, fmt.Errorf("%w: negative dimensions %dx%d", ErrBadHeader, rows, cols)
+	}
+	if nnz64 > math.MaxInt32 {
+		return binaryCSRHeader{}, fmt.Errorf("%w: nnz %d overflows int32 indexing", ErrBadHeader, nnz64)
+	}
+	nnz := int(nnz64)
+	if err := limits.check(rows, cols, nnz); err != nil {
+		return binaryCSRHeader{}, err
+	}
+	return binaryCSRHeader{rows: rows, cols: cols, nnz: nnz}, nil
+}
+
+// BinaryCSRBody is a whole binary CSR stream held in memory that
+// CheckBinaryCSR accepted: its dimensions and its digest are known
+// without decoding its sections, which is ReadBinaryCSR's job.
+type BinaryCSRBody struct {
+	Rows int32 // declared row count
+	Cols int32 // declared column count
+	raw  []byte
+}
+
+// CheckBinaryCSR checks a whole binary CSR stream held in memory without
+// decoding its sections: the header, as ReadBinaryCSRLimited checks it,
+// and its length, which must be exactly what the header declares. A
+// shorter body fails with ErrTruncated, a longer one with
+// ErrTrailingBytes. The result refers to b, which must not change.
+func CheckBinaryCSR(b []byte, limits MMLimits) (BinaryCSRBody, error) {
+	if len(b) < binaryCSRHeaderSize {
+		return BinaryCSRBody{}, fmt.Errorf("%w: %d-byte body holds no header", ErrTruncated, len(b))
+	}
+	h, err := parseBinaryCSRHeader(b, limits)
+	if err != nil {
+		return BinaryCSRBody{}, err
+	}
+	// At most 24 + 4·2³¹ + 8·(2³¹−1) bytes: no int64 overflow.
+	size := binaryCSRHeaderSize + 4*(int64(h.rows)+1) + 8*int64(h.nnz)
+	switch n := int64(len(b)); {
+	case n < size:
+		return BinaryCSRBody{}, fmt.Errorf("%w: %d-byte body, header declares %d", ErrTruncated, n, size)
+	case n > size:
+		return BinaryCSRBody{}, fmt.Errorf("%w: %d-byte body, header declares %d", ErrTrailingBytes, n, size)
+	}
+	return BinaryCSRBody{Rows: h.rows, Cols: h.cols, raw: b}, nil
+}
+
+// Digest returns what (*CSR).Digest returns for the matrix the body
+// encodes: the SHA-256 of the body from byte 8 on, which is the stream
+// that method hashes, so no section is decoded or re-encoded.
+func (b BinaryCSRBody) Digest() string {
+	sum := sha256.Sum256(b.raw[8:])
+	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
 // readInt32Section decodes n little-endian int32 words through buf,

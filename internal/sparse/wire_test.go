@@ -219,6 +219,96 @@ func TestBinaryCSRLyingHeader(t *testing.T) {
 	}
 }
 
+// TestBinaryCSRBodyDigest: a body CheckBinaryCSR accepts hashes to the
+// Digest of the matrix it encodes without being decoded.
+func TestBinaryCSRBodyDigest(t *testing.T) {
+	for name, m := range wireCorpus() {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteBinaryCSR(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+			body, err := CheckBinaryCSR(buf.Bytes(), MMLimits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if body.Rows != m.NumRows || body.Cols != m.NumCols {
+				t.Fatalf("body is %dx%d, matrix %dx%d", body.Rows, body.Cols, m.NumRows, m.NumCols)
+			}
+			if got, want := body.Digest(), m.Digest(); got != want {
+				t.Fatalf("body digest %s, matrix digest %s", got, want)
+			}
+		})
+	}
+}
+
+// TestBinaryCSRSentinels: every malformed stream fails with the decoder's
+// sentinel error. Header faults fail the same way in CheckBinaryCSR and
+// ReadBinaryCSR, which share one header check; length faults are
+// CheckBinaryCSR's, which holds the whole body.
+func TestBinaryCSRSentinels(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinaryCSR(&buf, wireCorpus()["dense-5x5"]); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	with := func(off int, word ...byte) []byte {
+		c := bytes.Clone(full)
+		copy(c[off:], word)
+		return c
+	}
+	header := []struct {
+		name string
+		body []byte
+		want error
+	}{
+		{"magic", with(0, 'X'), ErrBadMagic},
+		{"version 2", with(4, 2), ErrBadVersion},
+		{"version 0", with(4, 0), ErrBadVersion},
+		{"flags", with(6, 1), ErrBadHeader},
+		{"negative rows", with(8, 0xff, 0xff, 0xff, 0xff), ErrBadHeader},
+		{"negative cols", with(12, 0xfb, 0xff, 0xff, 0xff), ErrBadHeader},
+		{"nnz past int32", with(16, 0, 0, 0, 0x80), ErrBadHeader},
+		{"lying nnz", with(16, 0xff, 0xff, 0xff, 0x7e), ErrTruncated},
+		{"header cut", full[:binaryCSRHeaderSize-1], ErrTruncated},
+	}
+	for _, tc := range header {
+		if _, err := CheckBinaryCSR(tc.body, MMLimits{}); !errors.Is(err, tc.want) {
+			t.Errorf("%s: CheckBinaryCSR got %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := ReadBinaryCSR(bytes.NewReader(tc.body)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: ReadBinaryCSR got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	length := []struct {
+		name   string
+		body   []byte
+		limits MMLimits
+		want   error
+	}{
+		{"short by one", full[:len(full)-1], MMLimits{}, ErrTruncated},
+		{"trailing byte", append(bytes.Clone(full), 0), MMLimits{}, ErrTrailingBytes},
+		{"nnz one over", with(16, 26), MMLimits{}, ErrTruncated},
+		{"nnz one under", with(16, 24), MMLimits{}, ErrTrailingBytes},
+		{"rows one under", with(8, 4), MMLimits{}, ErrTrailingBytes},
+		{"entries over limit", full, MMLimits{MaxEntries: 24}, ErrTooLarge},
+	}
+	for _, tc := range length {
+		if _, err := CheckBinaryCSR(tc.body, tc.limits); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	// An exact-length body passes the check; Validate refuses its payload
+	// only when it is decoded.
+	unsorted := with(24+4*6, 1, 0, 0, 0, 0, 0, 0, 0)
+	if _, err := CheckBinaryCSR(unsorted, MMLimits{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBinaryCSR(bytes.NewReader(unsorted)); err == nil || !strings.Contains(err.Error(), "not strictly sorted") {
+		t.Fatalf("unsorted columns: ReadBinaryCSR got %v", err)
+	}
+}
+
 // FuzzBinaryCSRRoundTrip drives the decoder with arbitrary bytes (it must
 // reject or produce a Validate-clean matrix, never panic) and, when the
 // input does decode, re-encodes and checks the canonical-bytes property:
@@ -239,6 +329,18 @@ func FuzzBinaryCSRRoundTrip(f *testing.F) {
 	limits := MMLimits{MaxRows: 512, MaxCols: 512, MaxEntries: 1 << 14}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadBinaryCSRLimited(bytes.NewReader(data), limits)
+		// CheckBinaryCSR agrees with the stream decoder on the header and
+		// the length, except that it refuses what follows the declared
+		// sections, and its body digest is the decoded matrix's.
+		body, cerr := CheckBinaryCSR(data, limits)
+		switch {
+		case cerr == nil && errors.Is(err, ErrTruncated):
+			t.Fatalf("CheckBinaryCSR accepted a body ReadBinaryCSRLimited finds short: %v", err)
+		case cerr == nil && err == nil && body.Digest() != m.Digest():
+			t.Fatal("the body digest and the decoded matrix's Digest disagree")
+		case cerr != nil && err == nil && !errors.Is(cerr, ErrTrailingBytes):
+			t.Fatalf("CheckBinaryCSR refused a stream ReadBinaryCSRLimited decodes: %v", cerr)
+		}
 		if err != nil {
 			return
 		}

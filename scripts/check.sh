@@ -86,6 +86,9 @@ go test -run=NONE -fuzz=FuzzRabbitRoundTrip -fuzztime=5s ./internal/core
 echo "==> fuzz smoke: FuzzReorderHandler (internal/serve)"
 go test -run=NONE -fuzz=FuzzReorderHandler -fuzztime=5s ./internal/serve
 
+echo "==> fuzz smoke: FuzzBinaryUpload (internal/serve binary uploads)"
+go test -run=NONE -fuzz=FuzzBinaryUpload -fuzztime=5s ./internal/serve
+
 echo "==> fuzz smoke: FuzzBinaryCSRRoundTrip (internal/sparse wire format)"
 go test -run=NONE -fuzz=FuzzBinaryCSRRoundTrip -fuzztime=5s ./internal/sparse
 
